@@ -90,7 +90,7 @@ HookCost hook_cost_once(int events) {
   mpi::Engine engine(critpath_config(8));
   engine.telemetry().set_enabled(true);
   auto prof = critpath::Profiler::attach(engine);
-  prof->begin_run();
+  prof->on_run_begin();
 
   mpi::PktInfo pkt;
   pkt.src_world = 1;
@@ -106,7 +106,7 @@ HookCost hook_cost_once(int events) {
   for (int i = 0; i < events; ++i) {
     pkt.send_seq = static_cast<std::uint64_t>(i) + 1;
     pkt.send_time_s = t;
-    prof->on_send(0, pkt, t, t, t + 1e-6, t + 1e-7);
+    prof->on_send_done(0, pkt, t, t, t + 1e-6, t + 1e-7);
     t += 2e-6;
   }
   out.send_ns = wall_since(t0) / events * 1e9;
@@ -120,7 +120,7 @@ HookCost hook_cost_once(int events) {
     t += 2e-6;
   }
   out.recv_ns = wall_since(t0) / events * 1e9;
-  prof->end_run();
+  prof->on_run_end();
   return out;
 }
 
@@ -196,9 +196,9 @@ struct ExtractSample {
 };
 
 /// Run the ring once; the profiler self-times its finalize (it runs
-/// eagerly inside the engine's run-end hook, after the rank threads
-/// joined), so read extract_host_seconds() rather than re-timing the
-/// already-idempotent report() call.
+/// eagerly in its on_run_end, after the rank threads joined), so read
+/// extract_host_seconds() rather than re-timing the already-idempotent
+/// report() call.
 ExtractSample extract_once(int nranks, int iters) {
   mpi::Engine engine(critpath_config(nranks));
   critpath::Config cfg;

@@ -69,7 +69,7 @@ void ring_workload(mpi::Ctx& ctx, int iters, std::size_t bytes) {
 struct RunCost {
   double wall_s = 0.0;
   long rss_delta_kib = 0;
-  bool completed = false;
+  std::string error;  ///< non-empty when the run failed with an Error
 };
 
 RunCost measure(mpi::SchedMode mode, int nranks, int iters,
@@ -86,13 +86,18 @@ RunCost measure(mpi::SchedMode mode, int nranks, int iters,
   RunCost out;
   const long rss0 = peak_rss_kib();
   const auto t0 = std::chrono::steady_clock::now();
-  mpi::Engine engine(cfg);
-  engine.run([&](mpi::Ctx& ctx) { ring_workload(ctx, iters, bytes); });
+  try {
+    mpi::Engine engine(cfg);
+    engine.run([&](mpi::Ctx& ctx) { ring_workload(ctx, iters, bytes); });
+  } catch (const Error& e) {
+    // A host resource shortfall (e.g. the fiber stack slab refused) fails
+    // this size only; the rows already measured survive.
+    out.error = e.what();
+  }
   out.wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   out.rss_delta_kib = peak_rss_kib() - rss0;
-  out.completed = true;
   return out;
 }
 
@@ -101,19 +106,25 @@ RunCost measure(mpi::SchedMode mode, int nranks, int iters,
 constexpr double kMaxUsPerEvent = 50.0;
 
 /// Walks one backend's lane in ascending np order, recording a row per
-/// size, until a size is impractical (budget blown or per-event cost over
-/// kMaxUsPerEvent). Returns the largest practical np.
+/// size, until a size fails or is impractical (budget blown or per-event
+/// cost over kMaxUsPerEvent). Returns the largest practical np.
 int run_lane(Table& t, mpi::SchedMode mode, const std::vector<int>& nps,
              int iters, std::size_t bytes, double budget_s) {
   const char* name = mpi::sched_mode_name(mode);
   int max_np = 0;
   for (int np : nps) {
     const RunCost c = measure(mode, np, iters, bytes);
+    const std::string row = std::string(name) + "_np" + std::to_string(np);
+    if (!c.error.empty()) {
+      t.add(row, "failed", "-", "-");
+      std::cout << name << ": np=" << np << " failed (" << c.error
+                << "), stopping the lane\n";
+      break;
+    }
     const double nevents = 2.0 * static_cast<double>(np) * iters;
     const double events_per_s = nevents / c.wall_s;
     const double us_per_event = c.wall_s * 1e6 / nevents;
-    t.add(std::string(name) + "_np" + std::to_string(np),
-          format_sig(c.wall_s * 1e3, 4),
+    t.add(row, format_sig(c.wall_s * 1e3, 4),
           format_sig(static_cast<double>(c.rss_delta_kib) / np, 4),
           format_sig(events_per_s, 4));
     if (c.wall_s > budget_s) {

@@ -1,256 +1,165 @@
 #!/usr/bin/env bash
-# Tier-1 gate, runnable locally and in CI:
-#   1. default preset: configure, build, full ctest suite, then a focused
-#      re-run of the "introspect" label (snapshot/phase-detection suite),
-#      a stencil_reorder smoke run, and the bench trajectory gate
-#      (bench_introspect --quick + scripts/bench_trend.py vs the committed
-#      results/BENCH_*.json baselines)
-#   2. asan preset:    configure, build, ctest filtered to label "sanitize"
-#      (the introspect suite carries both labels, so it runs under asan too)
-#   3. tsan preset:    configure, build, ctest filtered to label
-#      "sanitize-thread" (the concurrent-recording stress suite: rank
-#      threads hammer the lock-free send path while the control plane
-#      churns RecordingPlans)
+# Tier-1 gate, runnable locally and in CI. With no argument it runs the
+# default, asan and tsan lanes; --<lane>-only runs one lane of the table
+# below.
 #
-# --recovery-only is the focused fault-recovery lane: the recovery suite and
-# the crash-under-churn stress suite (ULFM shrink/ack/agree, session rebind,
-# degradation governor) under BOTH sanitizer presets, plus the
-# faulty_reorder crash-shrink-recover example and bench_recovery's
-# built-in acceptance check on the default build.
-#
-# --stream-only is the focused streaming-plane lane: the obsplane suite
-# (ingest rings, sketches, correlation, exporter teardown) under BOTH
-# sanitizer presets, then on the default build the stream_monitor
-# fault-injected e2e example, a monview --live render of its stream, and
-# bench_stream's hook-overhead acceptance check fed into the trend gate.
-#
-# --critpath-only is the focused critical-path profiler lane: the critpath
-# suite (blame identity, clock bit-identity, governor refusal, rings,
-# reorder feed, CSV round trip) under BOTH sanitizer presets, then on the
-# default build the stencil_reorder late-sender e2e, a profview
-# --critical-path render of its blame CSV, and bench_critpath's
-# hook-budget + blame-identity acceptance checks fed into the trend gate.
-#
-# --fabric-only is the focused network-fabric lane: the fabric suite
-# (MPIM_TOPO spec parsing, hop-distance metric properties, route coverage,
-# tree bit-identity to the depth-indexed cost lookup, max-min-fair flow
-# sharing, per-link-class mismatch decomposition, hierarchical TreeMatch)
-# under BOTH sanitizer presets, then on the default build the fabric_tour
-# e2e example, a monview --timeline render of its per-link-class frames
-# CSV, and bench_fabric's cross-fabric reorder acceptance fed into the
-# trend gate (reorders_per_sec is a hot-path inverse metric).
-#
-# --scale-only is the focused scheduler-backend lane: the sched suite
-# (thread-vs-fiber clock bit-identity, MPIM_SCHED parsing, fiber structural
-# deadlock detection, np=512 crash/shrink/rebind, np=1024 fiber worlds)
-# under BOTH sanitizer presets (asan exercises the fiber stack-switch
-# annotations, tsan the thread-mode halves of the parity sweep), then on
-# the default build bench_scale's built-in >= 8x world-size acceptance
-# check in quick mode.
-#
-# Usage: scripts/check.sh [--default-only|--asan-only|--tsan-only|--recovery-only|--stream-only|--critpath-only|--fabric-only|--scale-only]
+#   default   configure + build, the full ctest suite, a focused re-run of
+#             the "introspect" label, a stencil_reorder smoke run, and the
+#             bench trajectory gate (quick benches + scripts/bench_trend.py
+#             vs the committed results/BENCH_*.json baselines)
+#   asan      ctest filtered to label "sanitize" (the preset's filter)
+#   tsan      ctest filtered to label "sanitize-thread": the
+#             concurrent-recording stress suite, where rank threads hammer
+#             the lock-free send path while the control plane churns
+#             RecordingPlans
+#   recovery  fault-recovery suites (ULFM shrink/ack/agree, session rebind,
+#             governor, crash-under-churn stress) under both sanitizers,
+#             the faulty_reorder crash-shrink-recover example and
+#             bench_recovery's acceptance check
+#   stream    the obsplane suite (ingest rings, sketches, correlation,
+#             exporter teardown) under both sanitizers, the stream_monitor
+#             fault-injected e2e, a monview --live render of its stream and
+#             bench_stream's hook-overhead acceptance
+#   critpath  the critpath suite (blame identity, clock bit-identity,
+#             governor refusal, rings, reorder feed, CSV round trip) under
+#             both sanitizers, the stencil_reorder late-sender e2e, a
+#             profview --critical-path render and bench_critpath's
+#             hook-budget + blame-identity acceptance
+#   fabric    the fabric suite (MPIM_TOPO parsing, hop-distance metric,
+#             route coverage, tree bit-identity, max-min-fair sharing,
+#             per-link-class mismatch, hierarchical TreeMatch) under both
+#             sanitizers, the fabric_tour e2e, a monview --timeline render
+#             and bench_fabric's cross-fabric reorder acceptance
+#   scale     the sched suite (thread-vs-fiber clock bit-identity,
+#             MPIM_SCHED parsing, structural deadlock detection, large
+#             fiber worlds) under both sanitizers (asan exercises the fiber
+#             stack-switch annotations, tsan the thread-mode halves of the
+#             parity sweep) and bench_scale's >= 8x world-size acceptance
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 jobs="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
-run_default=1
-run_asan=1
-run_tsan=1
-run_recovery=0
-run_stream=0
-run_critpath=0
-run_fabric=0
-run_scale=0
+bench='./build/bench'
+
+# One row per lane, six fields:
+#   name    selected with --<name>-only
+#   full    1 when the no-argument run includes the lane
+#   asan    ctest selection in the asan build ("" = no asan step,
+#           "preset" = the preset's own label filter)
+#   tsan    the same for the tsan build
+#   build   default-preset targets ("" = no default step, "all" = all)
+#   run     commands run after that build, one per line ("trend" is the
+#           bench trajectory gate)
+# Other selections run with --test-dir, not the ctest presets: the preset
+# label filters (sanitize / sanitize-thread) would AND with -L and hide the
+# suite. Under tsan the sched suite is labelled sanitize-thread
+# (see tests/CMakeLists.txt), so the scale lane selects it by name.
+lanes=(
+  default 1 "" "" all "
+    ctest --preset default --output-on-failure -j $jobs
+    ctest --preset default --output-on-failure -j $jobs -L introspect
+    ./build/examples/stencil_reorder >/dev/null
+    $bench/bench_introspect --quick --csv results
+    $bench/bench_record --quick --csv results
+    $bench/bench_recovery --quick --csv results
+    $bench/bench_stream --quick --csv results
+    $bench/bench_critpath --quick --csv results
+    trend"
+  asan 1 preset "" "" ""
+  tsan 1 "" preset "" ""
+  recovery 0 "-L fault|recovery|sanitize-thread" \
+    "-L fault|recovery|sanitize-thread" \
+    "faulty_reorder bench_recovery" "
+    ./build/examples/faulty_reorder >/dev/null
+    $bench/bench_recovery --quick --csv results"
+  stream 0 "-L obsplane" \
+    "-L obsplane" \
+    "stream_monitor monview bench_stream" "
+    ./build/examples/stream_monitor >/dev/null
+    ./build/src/tools/monview --live results/stream_monitor.jsonl --once >/dev/null
+    $bench/bench_stream --quick --csv results
+    trend"
+  critpath 0 "-L critpath" \
+    "-L critpath" \
+    "stencil_reorder profview bench_critpath" "
+    ./build/examples/stencil_reorder >/dev/null
+    ./build/src/tools/profview --critical-path results/stencil_critpath.csv >/dev/null
+    $bench/bench_critpath --quick --csv results
+    trend"
+  fabric 0 "-L fabric" \
+    "-L fabric" \
+    "fabric_tour monview bench_fabric" "
+    ./build/examples/fabric_tour >/dev/null
+    ./build/src/tools/monview --timeline results/fabric_frames.csv >/dev/null
+    $bench/bench_fabric --quick --csv results
+    trend"
+  scale 0 "-L sched" \
+    "-R ^Sched" \
+    "bench_scale" "
+    $bench/bench_scale --quick --csv results
+    trend"
+)
+flags=()
+for ((i = 0; i < ${#lanes[@]}; i += 6)); do flags+=("--${lanes[i]}-only"); done
+usage="usage: $0 [$(IFS='|'; echo "${flags[*]}")]"
+
+selected=""
 case "${1:-}" in
-  --default-only) run_asan=0; run_tsan=0 ;;
-  --asan-only) run_default=0; run_tsan=0 ;;
-  --tsan-only) run_default=0; run_asan=0 ;;
-  --recovery-only) run_default=0; run_asan=0; run_tsan=0; run_recovery=1 ;;
-  --stream-only) run_default=0; run_asan=0; run_tsan=0; run_stream=1 ;;
-  --critpath-only) run_default=0; run_asan=0; run_tsan=0; run_critpath=1 ;;
-  --fabric-only) run_default=0; run_asan=0; run_tsan=0; run_fabric=1 ;;
-  --scale-only) run_default=0; run_asan=0; run_tsan=0; run_scale=1 ;;
   "") ;;
-  *)
-    echo "usage: $0 [--default-only|--asan-only|--tsan-only|--recovery-only|--stream-only|--critpath-only|--fabric-only|--scale-only]" >&2
-    exit 2
-    ;;
+  --*-only) selected="${1#--}"; selected="${selected%-only}" ;;
+  *) echo "$usage" >&2; exit 2 ;;
 esac
 
-if [ "$run_default" = 1 ]; then
-  echo "== tier-1: default preset =="
-  cmake --preset default
-  cmake --build --preset default -j "$jobs"
-  ctest --preset default --output-on-failure -j "$jobs"
-
-  echo "== tier-1: introspect label =="
-  ctest --preset default --output-on-failure -j "$jobs" -L introspect
-
-  echo "== smoke: stencil_reorder =="
-  ./build/examples/stencil_reorder >/dev/null
-
-  echo "== bench trajectory =="
-  mkdir -p results
-  ./build/bench/bench_introspect --quick --csv results
-  ./build/bench/bench_record --quick --csv results
-  ./build/bench/bench_recovery --quick --csv results
-  ./build/bench/bench_stream --quick --csv results
-  ./build/bench/bench_critpath --quick --csv results
+trend() {
   if command -v python3 >/dev/null 2>&1; then
     python3 scripts/bench_trend.py
   else
     echo "bench_trend: python3 not found, skipping trajectory gate" >&2
   fi
-fi
+}
 
-if [ "$run_asan" = 1 ]; then
-  echo "== tier-1: asan preset (label: sanitize) =="
-  cmake --preset asan
-  cmake --build --preset asan -j "$jobs"
-  ctest --preset asan --output-on-failure -j "$jobs"
-fi
-
-if [ "$run_tsan" = 1 ]; then
-  echo "== tier-1: tsan preset (label: sanitize-thread) =="
-  cmake --preset tsan
-  cmake --build --preset tsan -j "$jobs"
-  ctest --preset tsan --output-on-failure -j "$jobs"
-fi
-
-if [ "$run_recovery" = 1 ]; then
-  # --test-dir instead of the ctest presets: the preset label filters
-  # (sanitize / sanitize-thread) would AND with -L and hide the suite.
-  echo "== recovery lane: asan preset (labels: fault|recovery|sanitize-thread) =="
-  cmake --preset asan
-  cmake --build --preset asan -j "$jobs"
-  ctest --test-dir build-asan --output-on-failure -j "$jobs" \
-    -L 'fault|recovery|sanitize-thread'
-
-  echo "== recovery lane: tsan preset (labels: fault|recovery|sanitize-thread) =="
-  cmake --preset tsan
-  cmake --build --preset tsan -j "$jobs"
-  ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-    -L 'fault|recovery|sanitize-thread'
-
-  echo "== recovery lane: crash-shrink-recover e2e + bench acceptance =="
-  cmake --preset default
-  cmake --build --preset default -j "$jobs" \
-    --target faulty_reorder bench_recovery
-  ./build/examples/faulty_reorder >/dev/null
-  mkdir -p results
-  ./build/bench/bench_recovery --quick --csv results
-fi
-
-if [ "$run_stream" = 1 ]; then
-  # --test-dir for the same reason as the recovery lane: the ctest preset
-  # label filters would AND with -L obsplane and hide the suite.
-  echo "== stream lane: asan preset (label: obsplane) =="
-  cmake --preset asan
-  cmake --build --preset asan -j "$jobs"
-  ctest --test-dir build-asan --output-on-failure -j "$jobs" -L obsplane
-
-  echo "== stream lane: tsan preset (label: obsplane) =="
-  cmake --preset tsan
-  cmake --build --preset tsan -j "$jobs"
-  ctest --test-dir build-tsan --output-on-failure -j "$jobs" -L obsplane
-
-  echo "== stream lane: fault-injected e2e + live view + bench acceptance =="
-  cmake --preset default
-  cmake --build --preset default -j "$jobs" \
-    --target stream_monitor monview bench_stream
-  mkdir -p results
-  ./build/examples/stream_monitor >/dev/null
-  ./build/src/tools/monview --live results/stream_monitor.jsonl --once \
-    >/dev/null
-  ./build/bench/bench_stream --quick --csv results
-  if command -v python3 >/dev/null 2>&1; then
-    python3 scripts/bench_trend.py
+sanitizer_step() {  # lane preset selection
+  echo "== $1 lane: $2 preset (tests: $3) =="
+  cmake --preset "$2"
+  cmake --build --preset "$2" -j "$jobs"
+  if [ "$3" = preset ]; then
+    ctest --preset "$2" --output-on-failure -j "$jobs"
   else
-    echo "bench_trend: python3 not found, skipping trajectory gate" >&2
+    # shellcheck disable=SC2086  # the selection is a word list
+    ctest --test-dir "build-$2" --output-on-failure -j "$jobs" $3
   fi
-fi
+}
 
-if [ "$run_critpath" = 1 ]; then
-  # --test-dir for the same reason as the recovery lane: the ctest preset
-  # label filters would AND with -L critpath and hide the suite.
-  echo "== critpath lane: asan preset (label: critpath) =="
-  cmake --preset asan
-  cmake --build --preset asan -j "$jobs"
-  ctest --test-dir build-asan --output-on-failure -j "$jobs" -L critpath
-
-  echo "== critpath lane: tsan preset (label: critpath) =="
-  cmake --preset tsan
-  cmake --build --preset tsan -j "$jobs"
-  ctest --test-dir build-tsan --output-on-failure -j "$jobs" -L critpath
-
-  echo "== critpath lane: late-sender e2e + blame render + bench acceptance =="
-  cmake --preset default
-  cmake --build --preset default -j "$jobs" \
-    --target stencil_reorder profview bench_critpath
-  mkdir -p results
-  ./build/examples/stencil_reorder >/dev/null
-  ./build/src/tools/profview --critical-path results/stencil_critpath.csv \
-    >/dev/null
-  ./build/bench/bench_critpath --quick --csv results
-  if command -v python3 >/dev/null 2>&1; then
-    python3 scripts/bench_trend.py
+found=0
+for ((i = 0; i < ${#lanes[@]}; i += 6)); do
+  name="${lanes[i]}" full="${lanes[i + 1]}" asan="${lanes[i + 2]}"
+  tsan="${lanes[i + 3]}" targets="${lanes[i + 4]}" run="${lanes[i + 5]}"
+  if [ -n "$selected" ]; then
+    [ "$name" = "$selected" ] || continue
   else
-    echo "bench_trend: python3 not found, skipping trajectory gate" >&2
+    [ "$full" = 1 ] || continue
   fi
-fi
-
-if [ "$run_fabric" = 1 ]; then
-  # --test-dir for the same reason as the recovery lane: the ctest preset
-  # label filters would AND with -L fabric and hide the suite.
-  echo "== fabric lane: asan preset (label: fabric) =="
-  cmake --preset asan
-  cmake --build --preset asan -j "$jobs"
-  ctest --test-dir build-asan --output-on-failure -j "$jobs" -L fabric
-
-  echo "== fabric lane: tsan preset (label: fabric) =="
-  cmake --preset tsan
-  cmake --build --preset tsan -j "$jobs"
-  ctest --test-dir build-tsan --output-on-failure -j "$jobs" -L fabric
-
-  echo "== fabric lane: fabric_tour e2e + timeline render + bench acceptance =="
+  found=1
+  [ -z "$asan" ] || sanitizer_step "$name" asan "$asan"
+  [ -z "$tsan" ] || sanitizer_step "$name" tsan "$tsan"
+  [ -n "$targets" ] || continue
+  echo "== $name lane: default preset (e2e + bench acceptance) =="
   cmake --preset default
-  cmake --build --preset default -j "$jobs" \
-    --target fabric_tour monview bench_fabric
-  mkdir -p results
-  ./build/examples/fabric_tour >/dev/null
-  ./build/src/tools/monview --timeline results/fabric_frames.csv >/dev/null
-  ./build/bench/bench_fabric --quick --csv results
-  if command -v python3 >/dev/null 2>&1; then
-    python3 scripts/bench_trend.py
+  if [ "$targets" = all ]; then
+    cmake --build --preset default -j "$jobs"
   else
-    echo "bench_trend: python3 not found, skipping trajectory gate" >&2
+    # shellcheck disable=SC2086  # the targets are a word list
+    cmake --build --preset default -j "$jobs" --target $targets
   fi
-fi
-
-if [ "$run_scale" = 1 ]; then
-  # --test-dir for the same reason as the recovery lane. Under the tsan
-  # preset the sched suite's label is sanitize-thread (see
-  # tests/CMakeLists.txt), so select it by test-name prefix instead.
-  echo "== scale lane: asan preset (label: sched) =="
-  cmake --preset asan
-  cmake --build --preset asan -j "$jobs"
-  ctest --test-dir build-asan --output-on-failure -j "$jobs" -L sched
-
-  echo "== scale lane: tsan preset (tests: Sched*) =="
-  cmake --preset tsan
-  cmake --build --preset tsan -j "$jobs"
-  ctest --test-dir build-tsan --output-on-failure -j "$jobs" -R '^Sched'
-
-  echo "== scale lane: bench_scale acceptance =="
-  cmake --preset default
-  cmake --build --preset default -j "$jobs" --target bench_scale
   mkdir -p results
-  ./build/bench/bench_scale --quick --csv results
-  if command -v python3 >/dev/null 2>&1; then
-    python3 scripts/bench_trend.py
-  else
-    echo "bench_trend: python3 not found, skipping trajectory gate" >&2
-  fi
+  mapfile -t cmds <<<"$run"
+  for cmd in "${cmds[@]}"; do
+    [ -z "${cmd// /}" ] || eval "$cmd"
+  done
+done
+if [ "$found" = 0 ]; then
+  echo "$usage" >&2
+  exit 2
 fi
 
 echo "check.sh: all green"

@@ -153,16 +153,15 @@ struct BlameReport {
   LinkBlame critical_link;
 };
 
-class Profiler {
+class Profiler final : public mpi::Observer {
  public:
-  /// Installs the capture hooks and run lifecycle on `engine` and parks
-  /// ownership in the engine's crit-plane slot (survives across runs, like
-  /// the streaming plane). Virtual clocks are bit-identical with and
-  /// without the profiler attached.
+  /// Attaches a profiler to `engine`'s observer list, armed for packet
+  /// events, replacing any profiler already attached. The engine shares
+  /// ownership, so the profiler survives across runs like the streaming
+  /// plane; engine.find<Profiler>() reaches it. Virtual clocks are
+  /// bit-identical with and without the profiler attached.
   static std::shared_ptr<Profiler> attach(mpi::Engine& engine,
                                           Config cfg = {});
-  /// The profiler attached to `engine`, or nullptr.
-  static Profiler* attached(mpi::Engine& engine);
 
   // --- rank-thread API: calling rank's own lane only ----------------------
   void arm(int rank, bool on);
@@ -205,13 +204,19 @@ class Profiler {
   /// critical path -- this tracks that it stays cheap anyway.
   double extract_host_seconds() const { return extract_host_s_; }
 
-  // Engine lifecycle (public so std::function hooks can reach them).
-  void begin_run();
-  void end_run();
-  void on_send(int rank, const mpi::PktInfo& pkt, double t0, double tx_start,
-               double arrival, double t1);
+  // --- engine observer ----------------------------------------------------
+  /// Main thread, after the engine's per-run resets, before rank contexts
+  /// exist: re-arms the lanes through the Config::reserve grant.
+  void on_run_begin() override;
+  /// Flushes the batched telemetry mirror and extracts the report.
+  /// Idempotent per run. A layer that folds the report into its own run end
+  /// (the streaming plane) calls report(), which extracts on first use, so
+  /// it needs no place in the engine's observer list relative to this one.
+  void on_run_end() override;
+  void on_send_done(int rank, const mpi::PktInfo& pkt, double t0,
+                    double tx_start, double arrival, double t1) override;
   void on_recv(int rank, const mpi::PktInfo& pkt, double pre, double arrival,
-               double t1);
+               double t1) override;
 
  private:
   struct PhaseCell {
@@ -257,7 +262,7 @@ class Profiler {
     // waits overwhelmingly hit the same phase and communicator, and the
     // recv hook holds the rank mutex, so every map walk avoided is lock
     // hold time given back to senders. std::map nodes are pointer-stable;
-    // begin_run clears the maps and must reset these.
+    // on_run_begin clears the maps and must reset these.
     int cache_phase = -1;
     PhaseCell* cache_phase_cell = nullptr;
     int cache_ctx = -1;

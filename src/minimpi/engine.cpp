@@ -137,9 +137,21 @@ Engine::Engine(EngineConfig cfg)
 
 Engine::~Engine() = default;
 
-void Engine::set_send_hook(SendHook hook) {
-  send_hook_ = std::move(hook);
-  send_hook_armed_.store(send_hook_ != nullptr, std::memory_order_release);
+void Engine::attach(Observer& obs) { observers_.push_back({&obs, nullptr}); }
+
+void Engine::attach(std::shared_ptr<Observer> obs) {
+  Observer* raw = obs.get();
+  observers_.push_back({raw, std::move(obs)});
+}
+
+void Engine::detach(Observer& obs) {
+  arm_packets(obs, false);
+  std::erase_if(observers_, [&](const Attached& a) { return a.obs == &obs; });
+}
+
+void Engine::arm_packets(Observer& obs, bool on) {
+  if (obs.packets_armed_.exchange(on, std::memory_order_acq_rel) != on)
+    packets_armed_.fetch_add(on ? 1 : -1, std::memory_order_release);
 }
 
 Comm Engine::intern_comm(const std::string& key,
@@ -436,10 +448,14 @@ SchedMode Engine::resolve_sched_mode() const {
 void Engine::run(const std::function<void(Ctx&)>& rank_main) {
   const int n = world_size();
   run_sched_mode_ = resolve_sched_mode();
-  // No rank contexts exist yet: a grace period for any RCU state the tool
-  // layer retired during the previous run.
-  if (quiescent_hook_) quiescent_hook_();
-  if (run_begin_hook_) run_begin_hook_();
+  epoch_period_s_ = 0.0;
+  for (const Attached& a : observers_) {
+    const double period = a.obs->epoch_period_s();
+    if (!(period > 0.0)) continue;
+    check(epoch_period_s_ == 0.0 || epoch_period_s_ == period,
+          "attached observers ask for different epoch grids");
+    epoch_period_s_ = period;
+  }
   abort_.store(false);
   blocked_.store(0);
   deliveries_.store(0);
@@ -485,7 +501,7 @@ void Engine::run(const std::function<void(Ctx&)>& rank_main) {
   // After the per-run resets (the critpath governor reservation interns a
   // tool object, which tool_objects_.clear() above would otherwise wipe)
   // and before any rank context exists.
-  if (crit_run_begin_hook_) crit_run_begin_hook_();
+  for (const Attached& a : observers_) a.obs->on_run_begin();
 
   if (run_sched_mode_ == SchedMode::fibers)
     run_fibers(rank_main);
@@ -496,11 +512,8 @@ void Engine::run(const std::function<void(Ctx&)>& rank_main) {
   for (double c : final_clocks_) max_virtual_time_ = std::max(max_virtual_time_, c);
 
   // Before the rethrow: a failed run still gets its exporters finalized, so
-  // everything flushed up to the failure survives in the output. The
-  // critpath end hook runs first so the streaming plane's finalize can fold
-  // finished blame results into its findings.
-  if (crit_run_end_hook_) crit_run_end_hook_();
-  if (run_end_hook_) run_end_hook_();
+  // everything flushed up to the failure survives in the output.
+  for (const Attached& a : observers_) a.obs->on_run_end();
 
   if (first_error_) std::rethrow_exception(first_error_);
 }
@@ -510,8 +523,7 @@ void Engine::rank_body(int r, const std::function<void(Ctx&)>& rank_main) {
   ctx.noise_rng_.reseed(cfg_.noise_seed * 0x9e3779b97f4a7c15ULL +
                         static_cast<std::uint64_t>(r) * 0x100000001b3ULL +
                         run_count_);
-  if (epoch_hook_ && epoch_period_s_ > 0.0)
-    ctx.next_epoch_s_ = epoch_period_s_;
+  if (epoch_period_s_ > 0.0) ctx.next_epoch_s_ = epoch_period_s_;
   run_ctx_[static_cast<std::size_t>(r)] = &ctx;
   g_running_ctx = &ctx;
   try {
@@ -533,8 +545,9 @@ void Engine::rank_body(int r, const std::function<void(Ctx&)>& rank_main) {
   // Final epoch flush on the rank's own context, for every exit path --
   // including a fault-plan crash, so the streaming plane keeps a
   // crashed rank's last partial epoch (exporter teardown ordering).
-  if (epoch_hook_ && epoch_period_s_ > 0.0)
-    epoch_hook_(r, ctx.now(), /*final_flush=*/true);
+  if (epoch_period_s_ > 0.0)
+    for (const Attached& a : observers_)
+      a.obs->on_epoch(r, ctx.now(), /*final_flush=*/true);
   if (cfg_.nic_contention) {
     std::lock_guard lock(sched_.mx);
     sched_update_locked(r, Sched::St::done, ctx.now());
@@ -611,9 +624,10 @@ void Ctx::epoch_cross() {
     next_epoch_s_ = std::numeric_limits<double>::infinity();
     return;
   }
-  // Fire before re-arming: the hook sees the clock that crossed, and the
+  // Fire before re-arming: observers see the clock that crossed, and the
   // next boundary is the start of the epoch after the one the clock is in.
-  engine_->epoch_hook_(world_rank_, clock_, /*final_flush=*/false);
+  for (const Engine::Attached& a : engine_->observers_)
+    a.obs->on_epoch(world_rank_, clock_, /*final_flush=*/false);
   next_epoch_s_ = (std::floor(clock_ / period) + 1.0) * period;
 }
 
@@ -764,9 +778,12 @@ void Ctx::send_bytes(int dst_world, const Comm& comm, int tag, CommKind kind,
   // host-side bookkeeping, so clocks stay bit-identical either way, and
   // sequence numbers stay stable across profiler on/off runs.
   info.send_seq = ++send_seq_;
-  if (kind != CommKind::tool &&
-      engine_->send_hook_armed_.load(std::memory_order_acquire)) {
-    const int recorded = engine_->send_hook_(info, world_rank_);
+  // One gate load serves both packet events of this send.
+  const bool observed = kind != CommKind::tool && engine_->packets_armed();
+  if (observed) {
+    int recorded = 0;
+    engine_->for_armed(
+        [&](Observer& o) { recorded += o.on_send(info, world_rank_); });
     clock_ += static_cast<double>(recorded) * engine_->cfg_.monitor_event_cost_s;
   }
 
@@ -827,11 +844,11 @@ void Ctx::send_bytes(int dst_world, const Comm& comm, int tag, CommKind kind,
                               bytes);
     const double lost_tx_start = clock_;
     clock_ += tx + cost.send_overhead();
-    if (kind != CommKind::tool &&
-        engine_->crit_armed_.load(std::memory_order_acquire) &&
-        engine_->crit_hooks_.on_send)
-      engine_->crit_hooks_.on_send(world_rank_, info, info.send_time_s,
-                                   lost_tx_start, /*arrival=*/-1.0, clock_);
+    if (observed)
+      engine_->for_armed([&](Observer& o) {
+        o.on_send_done(world_rank_, info, info.send_time_s, lost_tx_start,
+                       /*arrival=*/-1.0, clock_);
+      });
     epoch_check();
     return;
   }
@@ -859,11 +876,11 @@ void Ctx::send_bytes(int dst_world, const Comm& comm, int tag, CommKind kind,
 
   engine_->deliver(std::move(msg));
   clock_ = tx_start + tx + cost.send_overhead();
-  if (kind != CommKind::tool &&
-      engine_->crit_armed_.load(std::memory_order_acquire) &&
-      engine_->crit_hooks_.on_send)
-    engine_->crit_hooks_.on_send(world_rank_, info, info.send_time_s, tx_start,
-                                 arrival, clock_);
+  if (observed)
+    engine_->for_armed([&](Observer& o) {
+      o.on_send_done(world_rank_, info, info.send_time_s, tx_start, arrival,
+                     clock_);
+    });
   epoch_check();
 }
 
@@ -876,8 +893,10 @@ void Ctx::rma_transfer(int from_world, int to_world, const Comm& comm,
 
   PktInfo info{from_world, to_world, bytes, CommKind::osc, 0,
                comm.context_id(), clock_};
-  if (engine_->send_hook_armed_.load(std::memory_order_acquire)) {
-    const int recorded = engine_->send_hook_(info, world_rank_);
+  if (engine_->packets_armed()) {
+    int recorded = 0;
+    engine_->for_armed(
+        [&](Observer& o) { recorded += o.on_send(info, world_rank_); });
     clock_ +=
         static_cast<double>(recorded) * engine_->cfg_.monitor_event_cost_s;
   }
@@ -990,14 +1009,13 @@ bool Ctx::match_and_complete(int src_world, const Comm& comm, int tag,
                   std::min(capacity, it->info.bytes));
     const double completion =
         std::max(clock_, it->arrival_s) + engine_->cfg_.recv_overhead_s;
-    // Critpath observation before the clock assignment so the hook sees
-    // the pre-completion clock (the wait baseline). Runs under the rank
-    // mutex: the hook must be lock-free and never charge virtual time.
-    if (it->info.kind != CommKind::tool &&
-        engine_->crit_armed_.load(std::memory_order_acquire) &&
-        engine_->crit_hooks_.on_recv)
-      engine_->crit_hooks_.on_recv(world_rank_, it->info, clock_,
-                                   it->arrival_s, completion);
+    // Observed before the clock assignment so observers see the
+    // pre-completion clock (the wait baseline). Runs under the rank mutex:
+    // observers must be lock-free and never charge virtual time.
+    if (it->info.kind != CommKind::tool && engine_->packets_armed())
+      engine_->for_armed([&](Observer& o) {
+        o.on_recv(world_rank_, it->info, clock_, it->arrival_s, completion);
+      });
     clock_ = completion;
     if (status != nullptr)
       *status = Status{it->info.src_world, it->info.tag, it->info.bytes};

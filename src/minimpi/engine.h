@@ -13,12 +13,12 @@
 // Timings are therefore deterministic functions of the program and the
 // cost model, independent of host scheduling (the host has a single core).
 //
-// Every packet that leaves a rank flows through one send hook carrying
-// (src, dst, bytes, kind, tag, context) -- the moral equivalent of Open
-// MPI's pml_monitoring component interposition point. Tool-kind traffic
-// (the monitoring library's own gathers) bypasses the hook, and optionally
-// simulated NIC hardware counters record every transfer that crosses a
-// node boundary.
+// Every packet that leaves a rank flows through one ordered observer list
+// (Observer, below) carrying (src, dst, bytes, kind, tag, context) -- the
+// moral equivalent of Open MPI's pml_monitoring component interposition
+// point. Tool-kind traffic (the monitoring library's own gathers) bypasses
+// the observers, and optionally simulated NIC hardware counters record
+// every transfer that crosses a node boundary.
 #pragma once
 
 #include <atomic>
@@ -31,6 +31,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <type_traits>
+#include <typeinfo>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -69,39 +71,81 @@ struct PktInfo {
   std::uint64_t send_seq = 0;
 };
 
-/// Happens-before observation hooks for the critical-path profiler
-/// (src/critpath). Both run on the acting rank's own thread, must never
-/// charge virtual time, and must not take locks that clock-advancing paths
-/// also take: on_recv fires while the receiving rank's inbox mutex is held.
-/// Times are virtual seconds.
-struct CritHooks {
-  /// After a send charged its costs. `tx_start` is when the wire transfer
-  /// began (>= t0 under NIC contention), `arrival` when the packet reaches
-  /// the receiver (< 0 for a transmission the fault plan lost), `t1` the
-  /// sender's clock after the send completed locally.
-  std::function<void(int rank, const PktInfo& pkt, double t0, double tx_start,
-                     double arrival, double t1)>
-      on_send;
-  /// At receive completion. `pre` is the receiver's clock when it matched,
-  /// `arrival` the packet arrival time, `t1` the completion clock
-  /// (max(pre, arrival) + recv_overhead).
-  std::function<void(int rank, const PktInfo& pkt, double pre, double arrival,
-                     double t1)>
-      on_recv;
-};
-
-/// Installed by the tool layer (mpit). Returns the number of monitoring
-/// records made so the engine can charge instrumentation overhead.
+/// A monitoring layer attached to an Engine (Engine::attach). Every event
+/// the engine raises flows through the ordered observer list, the moral
+/// equivalent of Open MPI's pml_monitoring interposition point: the tool
+/// runtime (mpit), the critical-path profiler and the streaming plane are
+/// all observers. Every method has an empty default, so an observer
+/// overrides only the events it needs. None may charge virtual time
+/// except through on_send's record count.
 ///
-/// Concurrency contract: the hook runs on rank threads, concurrently and
-/// without any engine-side lock. `caller_world` is the rank whose thread is
-/// executing the call; it equals `pkt.src_world` for ordinary sends, but an
-/// RMA transfer reports its traffic attributed to `pkt.src_world` from
-/// whichever rank thread issued it, so the hook may read and update one
-/// rank's monitoring state from another rank's thread. Implementations must
-/// therefore be thread-safe without serializing the per-packet path (see
-/// mpit::Runtime::on_send for the lock-free RecordingPlan this enables).
-using SendHook = std::function<int(const PktInfo&, int caller_world)>;
+/// Packet events (on_send, on_send_done, on_recv) reach an observer only
+/// while it is armed (Engine::arm_packets); with no observer armed, each
+/// send and each receive completion costs one atomic load. Tool-kind
+/// traffic (the monitoring library's own gathers) never reaches them.
+class Observer {
+ public:
+  Observer() = default;
+  virtual ~Observer() = default;
+  Observer(const Observer&) = delete;
+  Observer& operator=(const Observer&) = delete;
+
+  /// Before a send is charged. Returns the number of monitoring records
+  /// made, which the engine charges at EngineConfig::monitor_event_cost_s.
+  ///
+  /// Concurrency contract: runs on rank threads, concurrently and without
+  /// any engine-side lock. `caller_world` is the rank whose thread is
+  /// executing the call; it equals `pkt.src_world` for ordinary sends, but
+  /// an RMA transfer reports its traffic attributed to `pkt.src_world` from
+  /// whichever rank thread issued it, so an observer may read and update
+  /// one rank's state from another rank's thread. Implementations must be
+  /// thread-safe without serializing the per-packet path (see
+  /// mpit::Runtime for the lock-free RecordingPlan this enables).
+  virtual int on_send(const PktInfo& /*pkt*/, int /*caller_world*/) {
+    return 0;
+  }
+  /// After a send charged its costs, on the sender's thread. `tx_start` is
+  /// when the wire transfer began (>= t0 under NIC contention), `arrival`
+  /// when the packet reaches the receiver (< 0 for a transmission the
+  /// fault plan lost), `t1` the sender's clock after the send completed
+  /// locally. RMA transfers do not raise it. Times are virtual seconds.
+  virtual void on_send_done(int /*rank*/, const PktInfo& /*pkt*/,
+                            double /*t0*/, double /*tx_start*/,
+                            double /*arrival*/, double /*t1*/) {}
+  /// At receive completion, on the receiver's thread while its inbox mutex
+  /// is held: must be lock-free with respect to clock-advancing paths.
+  /// `pre` is the receiver's clock when it matched, `arrival` the packet
+  /// arrival time, `t1` the completion clock (max(pre, arrival) +
+  /// recv_overhead).
+  virtual void on_recv(int /*rank*/, const PktInfo& /*pkt*/, double /*pre*/,
+                       double /*arrival*/, double /*t1*/) {}
+
+  /// Width of the virtual-time epoch grid this observer wants on_epoch
+  /// for; 0 (the default) asks for none. Read once per run; every observer
+  /// asking for a grid must ask for the same width.
+  virtual double epoch_period_s() const { return 0.0; }
+  /// On a rank's own context whenever its virtual clock crosses an epoch
+  /// boundary, and once more when the rank exits with final_flush = true
+  /// (including crash teardown, so a crashed rank's last partial epoch is
+  /// still flushed). Disarmed, the per-operation cost is one double
+  /// compare.
+  virtual void on_epoch(int /*rank*/, double /*now_s*/,
+                        bool /*final_flush*/) {}
+
+  /// Once per Engine::run, after the per-run resets and before any rank
+  /// context exists: the engine is quiescent, so this is also the grace
+  /// period for state retired during the previous run.
+  virtual void on_run_begin() {}
+  /// Once per Engine::run, in list order, after every rank finished and
+  /// BEFORE a recorded rank failure is rethrown, so exporters keep
+  /// everything flushed up to the failure. An observer whose run end
+  /// needs another layer's results calls that layer itself.
+  virtual void on_run_end() {}
+
+ private:
+  friend class Engine;
+  std::atomic<bool> packets_armed_{false};
+};
 
 /// Per-communicator error-handling mode, the MPI_ERRORS_ARE_FATAL /
 /// MPI_ERRORS_RETURN analog. Under `fatal` (the default) an operation that
@@ -240,97 +284,31 @@ class Engine {
   telemetry::Hub& telemetry() { return hub_; }
   const telemetry::Hub& telemetry() const { return hub_; }
 
-  /// Must be installed before run(); called on sender threads (see the
-  /// SendHook concurrency contract above). Installing a hook arms it.
-  void set_send_hook(SendHook hook);
+  /// Appends `obs` to the ordered observer list. The caller keeps
+  /// ownership and must detach it before destroying it. Attach and detach
+  /// only while no run() is in progress; a new observer starts disarmed.
+  void attach(Observer& obs);
+  /// Same, and the engine shares ownership until detach or its own
+  /// destruction (layers that outlive the handle their attach returned).
+  void attach(std::shared_ptr<Observer> obs);
+  /// Removes `obs` (disarming it first); a no-op when it is not attached.
+  void detach(Observer& obs);
 
-  /// Cheap per-packet gate in front of the hook: when disarmed, the send
-  /// path skips the std::function dispatch entirely, so a tool runtime
-  /// with nothing to record costs one relaxed atomic load per packet. The
-  /// tool layer toggles this as recording plans appear and disappear;
-  /// stale reads are benign (the hook itself returns 0 when it has no
-  /// work), and a thread always observes its own arm/disarm in program
-  /// order, which is what virtual-clock determinism needs.
-  void set_send_hook_armed(bool armed) {
-    send_hook_armed_.store(armed, std::memory_order_release);
-  }
+  /// Turns packet events on or off for an attached observer. Safe from any
+  /// thread, including mid-run: stale reads are benign, and a thread always
+  /// observes its own arm/disarm in program order, which is what
+  /// virtual-clock determinism needs.
+  void arm_packets(Observer& obs, bool on);
 
-  /// Invoked whenever the engine is provably quiescent -- at the start of
-  /// run(), before any rank thread exists. The tool layer uses this as the
-  /// RCU grace-period boundary to reclaim retired recording plans.
-  void set_quiescent_hook(std::function<void()> hook) {
-    quiescent_hook_ = std::move(hook);
-  }
-
-  /// Opaque slot for the tool layer (mpit::Runtime) so user code can reach
-  /// the tool stack from inside rank threads without global state.
-  void set_tool_runtime(void* runtime) { tool_runtime_ = runtime; }
-  void* tool_runtime() const { return tool_runtime_; }
-
-  /// Called on a rank's own thread whenever its virtual clock crosses an
-  /// epoch boundary (period_s-wide grid shared by all ranks), and once more
-  /// at thread exit with final_flush = true (including crash teardown, so a
-  /// crashed rank's last partial epoch is still flushed). The hook must
-  /// never charge virtual time: with or without it, clocks are bit
-  /// identical. Install before run(); disarmed, the per-operation cost is
-  /// one double compare.
-  using EpochHook = std::function<void(int rank, double now_s, bool final_flush)>;
-  void set_epoch_hook(EpochHook hook, double period_s) {
-    epoch_hook_ = std::move(hook);
-    epoch_period_s_ = epoch_hook_ && period_s > 0.0 ? period_s : 0.0;
-  }
-  double epoch_period_s() const { return epoch_period_s_; }
-
-  /// Called at the start of run(), after the quiescent hook, before rank
-  /// threads exist (the streaming plane re-arms per-run state here).
-  void set_run_begin_hook(std::function<void()> hook) {
-    run_begin_hook_ = std::move(hook);
-  }
-  /// Called at the end of run() after every rank thread is joined and
-  /// BEFORE a recorded rank failure is rethrown -- exporters that hook
-  /// here keep everything flushed up to the crash even on failed runs.
-  void set_run_end_hook(std::function<void()> hook) {
-    run_end_hook_ = std::move(hook);
-  }
-
-  /// Slot for the streaming aggregation plane (src/obsplane). Unlike
-  /// tool objects this survives across run() calls; the engine only holds
-  /// the ownership, obsplane::Plane::attach manages it.
-  void set_obs_plane(std::shared_ptr<void> plane) {
-    obs_plane_ = std::move(plane);
-  }
-  void* obs_plane() const { return obs_plane_.get(); }
-
-  /// Happens-before observers for the critical-path profiler. Installing
-  /// non-empty hooks arms a relaxed atomic gate in front of the send and
-  /// receive completion paths; disarmed, each costs one atomic load.
-  /// Install before run(); the hooks themselves never charge virtual time.
-  void set_crit_hooks(CritHooks hooks) {
-    crit_hooks_ = std::move(hooks);
-    crit_armed_.store(
-        static_cast<bool>(crit_hooks_.on_send) ||
-            static_cast<bool>(crit_hooks_.on_recv),
-        std::memory_order_release);
-  }
-
-  /// Ownership slot for the critical-path profiler, the crit analog of
-  /// set_obs_plane: survives run() calls, managed by
-  /// critpath::Profiler::attach.
-  void set_crit_plane(std::shared_ptr<void> plane) {
-    crit_plane_ = std::move(plane);
-  }
-  void* crit_plane() const { return crit_plane_.get(); }
-
-  /// Per-run lifecycle for the critical-path profiler, separate from the
-  /// single-slot run begin/end hooks the streaming plane owns. The begin
-  /// hook fires after per-run state resets (tool objects cleared) and
-  /// before rank threads exist; the end hook fires after every rank thread
-  /// is joined and BEFORE the streaming plane's run-end hook, so the plane
-  /// can fold finished critpath results into its findings.
-  void set_crit_run_hooks(std::function<void()> begin,
-                          std::function<void()> end) {
-    crit_run_begin_hook_ = std::move(begin);
-    crit_run_end_hook_ = std::move(end);
+  /// The first attached observer whose dynamic type is T, or nullptr. T
+  /// is final, so a typeid compare is the whole match: several times
+  /// cheaper than a dynamic_cast on lookups made per MPI_M_* call.
+  template <typename T>
+  T* find() const {
+    static_assert(std::is_final_v<T>, "find<T>() matches exact types");
+    for (const Attached& a : observers_)
+      if (typeid(*a.obs) == typeid(T)) return static_cast<T*>(a.obs);
+    return nullptr;
   }
 
   /// Runs `rank_main` once per rank -- on one OS thread per rank, or as
@@ -435,6 +413,17 @@ class Engine {
  private:
   friend class Ctx;
 
+  /// The packet-event gate: the one atomic load a send or a receive
+  /// completion pays when no observer is armed.
+  bool packets_armed() const {
+    return packets_armed_.load(std::memory_order_acquire) > 0;
+  }
+  template <typename F>
+  void for_armed(F&& f) const {
+    for (const Attached& a : observers_)
+      if (a.obs->packets_armed_.load(std::memory_order_relaxed)) f(*a.obs);
+  }
+
   void deliver(InFlight msg);
   void record_error(std::exception_ptr err);
   void abort_all();
@@ -482,20 +471,15 @@ class Engine {
 
   EngineConfig cfg_;
   telemetry::Hub hub_;
-  SendHook send_hook_;
-  std::atomic<bool> send_hook_armed_{false};
-  std::function<void()> quiescent_hook_;
-  EpochHook epoch_hook_;
-  double epoch_period_s_ = 0.0;  ///< 0 disables the epoch grid
-  std::function<void()> run_begin_hook_;
-  std::function<void()> run_end_hook_;
-  std::shared_ptr<void> obs_plane_;
-  CritHooks crit_hooks_;
-  std::atomic<bool> crit_armed_{false};
-  std::shared_ptr<void> crit_plane_;
-  std::function<void()> crit_run_begin_hook_;
-  std::function<void()> crit_run_end_hook_;
-  void* tool_runtime_ = nullptr;
+  struct Attached {
+    Observer* obs = nullptr;
+    std::shared_ptr<Observer> owner;  ///< null for caller-owned observers
+  };
+  /// Declared after hub_ so engine-owned observers die before it.
+  std::vector<Attached> observers_;
+  /// Number of attached observers currently armed for packet events.
+  std::atomic<int> packets_armed_{0};
+  double epoch_period_s_ = 0.0;  ///< resolved per run; 0 disables the grid
   net::NicCounters nic_;
   Comm world_comm_;
   std::vector<std::unique_ptr<RankState>> ranks_;
@@ -600,7 +584,7 @@ class Ctx {
                     Status* status);
 
   /// One-sided transfer: charges the calling rank the modeled transfer
-  /// time, reports the traffic to the monitoring hook attributed to
+  /// time, reports the traffic to the packet observers attributed to
   /// `from_world` (for a get, the target transmits), and feeds the NIC
   /// counters. No mailbox delivery: RMA moves data via shared memory.
   void rma_transfer(int from_world, int to_world, const Comm& comm,
@@ -648,14 +632,14 @@ class Ctx {
   /// stalls and terminates the rank (RankCrashExit) past its crash time.
   void fault_check();
 
-  /// Epoch-hook gate: one double compare when the clock has not crossed
-  /// the next epoch boundary (or no hook is installed:
+  /// Epoch gate: one double compare when the clock has not crossed the
+  /// next epoch boundary (or no observer asks for epochs:
   /// next_epoch_s_ = +inf). Called at clock-advancing sites; never charges
   /// virtual time itself.
   void epoch_check() {
     if (clock_ >= next_epoch_s_) epoch_cross();
   }
-  /// Slow path of epoch_check: fires the hook and re-arms the boundary.
+  /// Slow path of epoch_check: raises on_epoch and re-arms the boundary.
   void epoch_cross();
   /// Raises the failure for an operation whose peer rank is dead: fatal
   /// errmode tears the run down, ret mode throws RankFailedError. `op`
@@ -679,8 +663,8 @@ class Ctx {
   Engine* engine_;
   int world_rank_;
   double clock_ = 0.0;
-  /// Next epoch boundary the clock has not crossed yet; +inf when no epoch
-  /// hook is installed (set up by Engine::run per rank thread).
+  /// Next epoch boundary the clock has not crossed yet; +inf when no
+  /// observer asks for epochs (set up by Engine::run per rank thread).
   double next_epoch_s_ = std::numeric_limits<double>::infinity();
   Rng noise_rng_{0};
   /// Monotone per-sender packet counter backing PktInfo::send_seq. Host

@@ -3,6 +3,7 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <string>
 #include <thread>
 
 #include "support/error.h"
@@ -60,13 +61,20 @@ FiberSched::FiberSched(int nranks, std::size_t stack_bytes,
   // stacks live in ONE lazy anonymous mapping -- [guard|stack] x n -- so
   // the address space cost is virtual, not RSS, and (with madvise guards;
   // see slab_base_ in the header) the VMA cost is constant, not O(n).
+  // MAP_NORESERVE: stacks touch a few pages each, so committing the whole
+  // slab up front (~16 GiB at np=65536) would make a swapless host under
+  // heuristic overcommit refuse worlds that fit easily. A refusal that
+  // still happens (RLIMIT_AS, a real shortage) is a typed Error.
   stack_bytes_ = ((stack_bytes + page - 1) / page) * page;
   if (stack_bytes_ < 4 * page) stack_bytes_ = 4 * page;
   const std::size_t stride = stack_bytes_ + page;
   slab_bytes_ = stride * static_cast<std::size_t>(n_);
   void* base = ::mmap(nullptr, slab_bytes_, PROT_READ | PROT_WRITE,
-                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
-  check(base != MAP_FAILED, "fiber stack slab mmap failed");
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK | MAP_NORESERVE,
+                      -1, 0);
+  if (base == MAP_FAILED)
+    throw Error("fiber stack slab mmap of " + std::to_string(slab_bytes_) +
+                " bytes for " + std::to_string(n_) + " ranks failed");
   slab_base_ = static_cast<char*>(base);
 
   // Probe MADV_GUARD_INSTALL once on the first guard page; on kernels

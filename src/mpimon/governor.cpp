@@ -96,7 +96,7 @@ bool Governor::shed_step_locked(int rank) {
       // plane halves its bucket count on the spot and re-reports its
       // working-set gauge; a detached plane makes this step a cheap no-op
       // (the ladder still advances so level 4 stays the last resort).
-      if (obsplane::Plane* plane = obsplane::Plane::attached(engine_)) {
+      if (obsplane::Plane* plane = engine_.find<obsplane::Plane>()) {
         plane->widen_windows();
         what = "widening streaming-plane store windows to " +
                std::to_string(plane->window_merge()) + " epochs/bucket";

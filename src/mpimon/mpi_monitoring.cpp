@@ -1035,7 +1035,7 @@ int MPI_M_snapshot_start(MPI_M_msid msid, double window_s, int max_frames,
           // Streaming plane: stage the closed frame's totals. The callback
           // may fire on a foreign thread (RMA attribution), which on_frame
           // tolerates (mutexed side queue, not the per-rank rings).
-          if (auto* plane = mpim::obsplane::Plane::attached(*eng))
+          if (auto* plane = eng->find<mpim::obsplane::Plane>())
             plane->on_frame(rank, f);
           if (*phase_t0 < 0.0) *phase_t0 = f.t0_s;
           if (f.boundary) {
@@ -1287,7 +1287,7 @@ namespace {
 
 /// The engine's attached profiler, or nullptr. Rank thread only.
 mpim::critpath::Profiler* crit_profiler() {
-  return mpim::critpath::Profiler::attached(Ctx::current().engine());
+  return Ctx::current().engine().find<mpim::critpath::Profiler>();
 }
 
 unsigned long clamp_ul(std::uint64_t v) {

@@ -47,26 +47,19 @@ Runtime::Runtime(mpi::Engine& engine) : engine_(engine) {
     ranks_.push_back(std::make_unique<RankState>());
     ranks_.back()->rank = r;
   }
-  engine_.set_send_hook([this](const mpi::PktInfo& pkt, int caller_world) {
-    return on_send(pkt, caller_world);
-  });
-  engine_.set_quiescent_hook([this] { reclaim_retired(); });
-  engine_.set_tool_runtime(this);
-  update_armed();  // nothing to record yet: disarm the per-packet gate
+  engine_.attach(*this);  // disarmed: nothing to record yet
   // Environment-driven streaming plane: a no-op unless MPIM_STREAM_FILE
   // is set, so tool attach cannot perturb existing runs.
   obsplane::Plane::attach_from_env(engine_);
 }
 
 Runtime::~Runtime() {
-  engine_.set_send_hook(nullptr);
-  engine_.set_quiescent_hook(nullptr);
-  engine_.set_tool_runtime(nullptr);
+  engine_.detach(*this);
   reclaim_retired();
 }
 
 Runtime& Runtime::of(mpi::Engine& engine) {
-  auto* rt = static_cast<Runtime*>(engine.tool_runtime());
+  auto* rt = engine.find<Runtime>();
   if (rt == nullptr)
     throw MpitError("no mpit::Runtime attached to this engine");
   return *rt;
@@ -77,9 +70,6 @@ Runtime::RankState& Runtime::my_rank_state() {
 }
 
 int Runtime::on_send(const mpi::PktInfo& pkt, int caller_world) {
-  if (!listeners_.empty())
-    for (const EventListener& listener : listeners_) listener(pkt);
-  if (pkt.kind == mpi::CommKind::tool) return 0;
   RankState& rs = *ranks_[static_cast<std::size_t>(pkt.src_world)];
   const RecordingPlan* plan = rs.plan.load(std::memory_order_acquire);
   if (plan == nullptr) return 0;
@@ -156,11 +146,10 @@ void Runtime::rebuild_plan(RankState& rs) {
 
 void Runtime::update_armed() {
   // Serialized so the last transition always wins: each caller updates the
-  // plan count (or listener list) first, then recomputes under the lock.
+  // plan count first, then recomputes under the lock.
   std::lock_guard lock(armed_mutex_);
-  engine_.set_send_hook_armed(
-      !listeners_.empty() ||
-      nonempty_plans_.load(std::memory_order_relaxed) > 0);
+  engine_.arm_packets(*this,
+                      nonempty_plans_.load(std::memory_order_relaxed) > 0);
 }
 
 void Runtime::reclaim_retired() {
@@ -357,11 +346,6 @@ void Runtime::handle_write(int session, int handle,
   for (int d = 0; d < count; ++d)
     h.values[static_cast<std::size_t>(d)] =
         values[static_cast<std::size_t>(d)];
-}
-
-void Runtime::add_event_listener(EventListener listener) {
-  listeners_.push_back(std::move(listener));
-  update_armed();  // listeners record even when every plan is empty
 }
 
 int Runtime::handle_count(int session, int handle) {

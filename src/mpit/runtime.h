@@ -1,7 +1,7 @@
 // MPI_T-like tool runtime: pvar sessions and handles.
 //
-// One Runtime attaches to one Engine. It installs the engine's send hook
-// (the pml_monitoring interposition point) and owns, per rank, the pvar
+// One Runtime attaches to one Engine as a packet observer (the
+// pml_monitoring interposition point) and owns, per rank, the pvar
 // sessions and the handles bound to communicators. A started handle
 // accumulates, per peer of its communicator, the count or cumulated size of
 // every message of its traffic class whose *sender* is the owning rank --
@@ -23,11 +23,11 @@
 // start/stop/reset (value = bias + shared accumulator while started).
 // Accumulator slots are split into a plain array written only by the owning
 // rank's thread and an atomic array for RMA traffic attributed from peer
-// threads (the SendHook contract in minimpi/engine.h). Writers rebuild and
-// swap under the per-rank control mutex and retire the old plan to a
-// graveyard reclaimed at engine-quiescent points (Engine::run start, Runtime
-// destruction), the grace period that keeps readers safe without per-packet
-// fences.
+// threads (the Observer::on_send contract in minimpi/engine.h). Writers
+// rebuild and swap under the per-rank control mutex and retire the old plan
+// to a graveyard reclaimed at engine-quiescent points (Engine::run start,
+// Runtime destruction), the grace period that keeps readers safe without
+// per-packet fences.
 #pragma once
 
 #include <array>
@@ -43,11 +43,12 @@
 
 namespace mpim::mpit {
 
-class Runtime {
+class Runtime final : public mpi::Observer {
  public:
-  /// Installs the send hook; must be constructed before Engine::run.
+  /// Attaches to `engine`'s observer list; construct before Engine::run.
+  /// The destructor detaches it again.
   explicit Runtime(mpi::Engine& engine);
-  ~Runtime();
+  ~Runtime() override;
 
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
@@ -84,15 +85,6 @@ class Runtime {
 
   /// Number of values of a handle (= size of the bound communicator).
   int handle_count(int session, int handle);
-
-  /// Per-event listeners (trace tools): called on the sending thread for
-  /// every monitored packet, before the pvar accounting and without any
-  /// lock (a listener must be thread-safe; RMA attribution may invoke it
-  /// from a peer's thread). Install before Engine::run; listeners cannot
-  /// be removed (disable inside instead). When none are registered the
-  /// per-packet path pays no indirect call at all.
-  using EventListener = std::function<void(const mpi::PktInfo&)>;
-  void add_event_listener(EventListener listener);
 
   /// Per-session packet observer (the snapshot sampler's hook): called on
   /// the sending thread for every monitored packet of the calling rank
@@ -218,16 +210,18 @@ class Runtime {
     std::vector<std::unique_ptr<const RecordingPlan>> retired;
   };
 
-  /// Engine send hook; returns the number of records made (overhead model).
-  /// `caller_world` is the executing thread's rank (== pkt.src_world except
-  /// for RMA attribution; see the SendHook contract).
-  int on_send(const mpi::PktInfo& pkt, int caller_world);
+  /// Packet observer; returns the number of records made (overhead
+  /// model). `caller_world` is the executing thread's rank (==
+  /// pkt.src_world except for RMA attribution; see Observer::on_send).
+  int on_send(const mpi::PktInfo& pkt, int caller_world) override;
+  /// The engine is quiescent: the grace period for retired plans.
+  void on_run_begin() override { reclaim_retired(); }
 
   /// Recompiles and publishes rs's plan. Caller holds rs.mutex.
   void rebuild_plan(RankState& rs);
-  /// Re-derives the engine's hook-armed flag from the nonempty-plan count
-  /// and the listener list (serialized so the final state always reflects
-  /// the latest transitions).
+  /// Re-derives this observer's packet arming from the nonempty-plan count
+  /// (serialized so the final state always reflects the latest
+  /// transitions).
   void update_armed();
   /// Frees every retired plan; only called when no rank threads run.
   void reclaim_retired();
@@ -240,7 +234,6 @@ class Runtime {
 
   mpi::Engine& engine_;
   std::vector<std::unique_ptr<RankState>> ranks_;
-  std::vector<EventListener> listeners_;
   std::atomic<int> nonempty_plans_{0};
   std::mutex armed_mutex_;
 };

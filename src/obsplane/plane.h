@@ -3,8 +3,8 @@
 // for one engine (job).
 //
 // Rank threads stream into the plane incrementally while the app runs:
-//   * every virtual-time epoch boundary a rank crosses, the engine's epoch
-//     hook flushes that rank's metric deltas into its own SPSC staging ring
+//   * every virtual-time epoch boundary a rank crosses, the engine's
+//     on_epoch flushes that rank's metric deltas into its own SPSC staging ring
 //     (the set of rings forms a lock-free MPSC layer: one producer per rank,
 //     one draining consumer),
 //   * closed snapshot frames and selected telemetry spans are forwarded from
@@ -19,7 +19,7 @@
 // as a shed rung, halving bucket resolution instead of dropping data.
 //
 // Nothing in here ever charges virtual time: clocks are bit-identical with
-// the plane attached or not (the epoch hook itself is one double compare
+// the plane attached or not (the epoch gate itself is one double compare
 // per engine call when disarmed). All plane work is host-side.
 //
 // Continuous export: when a stream path is configured, every completed epoch
@@ -93,29 +93,28 @@ struct PlaneConfig {
   std::string prom_path;
 };
 
-class Plane {
+class Plane final : public mpi::Observer {
  public:
   Plane(mpi::Engine& engine, PlaneConfig cfg);
-  ~Plane();
+  ~Plane() override;
 
-  Plane(const Plane&) = delete;
-  Plane& operator=(const Plane&) = delete;
-
-  /// Creates a plane, parks it in the engine's obs-plane slot and installs
-  /// the epoch / run-end / span-sink hooks. Call before Engine::run.
+  /// Creates a plane, attaches it to the engine's observer list (the
+  /// engine shares ownership; engine.find<Plane>() reaches it) and installs
+  /// the span sink. Call before Engine::run; returns nullptr when a plane
+  /// is already attached.
   static std::shared_ptr<Plane> attach(mpi::Engine& engine, PlaneConfig cfg);
   /// attach() driven by MPIM_STREAM_FILE / MPIM_STREAM_EPOCH_S /
   /// MPIM_PROM_FILE; returns nullptr (and attaches nothing) when
   /// MPIM_STREAM_FILE is unset or a plane is already attached.
   static std::shared_ptr<Plane> attach_from_env(mpi::Engine& engine);
-  /// The plane attached to an engine, or nullptr.
-  static Plane* attached(mpi::Engine& engine);
 
   // --- producer side (rank threads; rank == calling thread's rank) --------
-  /// Epoch-hook target: flush rank's metric deltas staged since the last
-  /// flush, stamp the completed epoch, then try to drain. `final` marks the
-  /// rank's last flush of the run (normal exit or crash teardown).
-  void on_epoch(int rank, double now_s, bool final_flush);
+  /// The plane's epoch grid (PlaneConfig::epoch_s).
+  double epoch_period_s() const override { return cfg_.epoch_s; }
+  /// Flush rank's metric deltas staged since the last flush, stamp the
+  /// completed epoch, then try to drain. `final` marks the rank's last
+  /// flush of the run (normal exit or crash teardown).
+  void on_epoch(int rank, double now_s, bool final_flush) override;
   /// Snapshot-frame forwarding (mpimon session frame callback). May run on
   /// a foreign thread for RMA traffic, so frames stage through a small
   /// mutexed side queue rather than the rank's SPSC ring.
@@ -127,13 +126,17 @@ class Plane {
   /// Non-blocking drain; no-op when another thread is already draining.
   void try_drain();
   /// Blocking drain + final epoch emission + correlation + run_end record.
-  /// Idempotent; installed as the engine's run-end hook so it runs even
-  /// when run() is about to rethrow a rank failure.
+  /// Idempotent. Folds in the critical-path profiler's blame report when
+  /// one is attached; the result does not depend on the order the two were
+  /// attached in.
   void finalize();
-  /// Run-begin hook target: after a finalize, re-arms per-run state so the
-  /// same plane can observe another run() of its engine (clocks restart at
-  /// 0; registry counters stay cumulative).
-  void begin_run();
+  /// The engine's run end, raised even when run() is about to rethrow a
+  /// rank failure.
+  void on_run_end() override { finalize(); }
+  /// After a run end, re-arms per-run state so the same plane can observe
+  /// another run() of its engine (clocks restart at 0; registry counters
+  /// stay cumulative).
+  void on_run_begin() override;
 
   /// Governor shed rung: double the store's epoch merge factor (halves
   /// bucket resolution, re-keys existing buckets in place).

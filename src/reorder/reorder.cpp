@@ -329,7 +329,7 @@ ReorderResult reorder_on_phase(int msid, const mpi::Comm& comm,
     // The agreement collective runs whether or not a profiler is attached
     // (all-zero contributions without one), so the trigger option never
     // perturbs virtual clocks: profiler on and off are bit-identical.
-    critpath::Profiler* prof = critpath::Profiler::attached(ctx.engine());
+    critpath::Profiler* prof = ctx.engine().find<critpath::Profiler>();
     const int myrank = ctx.world_rank();
     unsigned long local_ns[2] = {0, 0};
     if (prof != nullptr) {

@@ -78,7 +78,7 @@ TEST(CritpathBlame, SumsExactlyToCommTimeAndNamesTheStraggler) {
   Engine eng(small_cfg(8));
   auto prof = Profiler::attach(eng);
   ASSERT_NE(prof, nullptr);
-  EXPECT_EQ(Profiler::attached(eng), prof.get());
+  EXPECT_EQ(eng.find<Profiler>(), prof.get());
   eng.run([](Ctx& ctx) { slow_ring(ctx, /*slow_rank=*/3, /*extra_s=*/5e-4); });
 
   const BlameReport& rep = prof->report();
@@ -438,7 +438,7 @@ TEST(CritpathReorder, MismatchDominanceFiresThePhaseHookAndAdvancesMarks) {
     if (ctx.world_rank() == 0) {
       fired.store(t);
       wait_after_mark.store(static_cast<unsigned long>(
-          Profiler::attached(ctx.engine())->wait_since_mark(0)));
+          ctx.engine().find<Profiler>()->wait_since_mark(0)));
     }
 
     ASSERT_EQ(MPI_M_suspend(id), MPI_M_SUCCESS);

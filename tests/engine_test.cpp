@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <numeric>
 
+#include "fault/fault_plan.h"
 #include "minimpi/api.h"
 #include "minimpi/engine.h"
 
@@ -292,14 +294,18 @@ TEST(Engine, SendHookSeesTrafficAndChargesOverhead) {
   auto cfg = tiny_cfg(2);
   cfg.monitor_event_cost_s = 1e-3;  // exaggerated, easy to observe
   Engine eng(cfg);
-  std::atomic<int> hooked{0};
-  eng.set_send_hook([&](const PktInfo& pkt, int caller_world) {
-    hooked.fetch_add(1);
-    EXPECT_EQ(caller_world, pkt.src_world);  // ordinary send: own thread
-    EXPECT_EQ(pkt.kind, CommKind::p2p);
-    EXPECT_EQ(pkt.bytes, 4u);
-    return 2;  // pretend two records were made
-  });
+  struct Hook : Observer {
+    std::atomic<int> hooked{0};
+    int on_send(const PktInfo& pkt, int caller_world) override {
+      hooked.fetch_add(1);
+      EXPECT_EQ(caller_world, pkt.src_world);  // ordinary send: own thread
+      EXPECT_EQ(pkt.kind, CommKind::p2p);
+      EXPECT_EQ(pkt.bytes, 4u);
+      return 2;  // pretend two records were made
+    }
+  } hook;
+  eng.attach(hook);
+  eng.arm_packets(hook, true);
   eng.run([](Ctx& ctx) {
     const Comm world = ctx.world();
     if (ctx.world_rank() == 0) {
@@ -312,7 +318,46 @@ TEST(Engine, SendHookSeesTrafficAndChargesOverhead) {
       recv(&v, 1, Type::Int, 0, 0, world);
     }
   });
-  EXPECT_EQ(hooked.load(), 1);
+  EXPECT_EQ(hook.hooked.load(), 1);
+  eng.detach(hook);
+}
+
+TEST(Engine, ObserversSeeALostSendWithItsRetransmitAttempts) {
+  auto plan = std::make_shared<fault::FaultPlan>(11);
+  fault::LinkFault drop;
+  drop.src = 0;
+  drop.dst = 1;
+  drop.drop_prob = 0.999999;  // deterministically lost
+  drop.max_retransmits = 2;
+  drop.retransmit_backoff_s = 1e-6;
+  plan->add(drop);
+  auto cfg = tiny_cfg(2);
+  cfg.fault_plan = plan;
+  Engine eng(cfg);
+  struct Seen : Observer {
+    std::vector<PktInfo> sends;
+    std::vector<double> arrivals;
+    int on_send(const PktInfo& pkt, int) override {
+      sends.push_back(pkt);
+      return 0;
+    }
+    void on_send_done(int, const PktInfo&, double, double, double arrival,
+                      double) override {
+      arrivals.push_back(arrival);
+    }
+  } seen;
+  eng.attach(seen);
+  eng.arm_packets(seen, true);
+  eng.run([](Ctx& ctx) {
+    // Fire-and-forget: the message is lost after 3 attempts; no recv.
+    if (ctx.world_rank() == 0)
+      send(nullptr, 512, Type::Byte, 1, 0, ctx.world());
+  });
+  ASSERT_EQ(seen.sends.size(), 1u);
+  EXPECT_EQ(seen.sends[0].attempts, 3);  // 1 first try + 2 retransmits
+  ASSERT_EQ(seen.arrivals.size(), 1u);
+  EXPECT_LT(seen.arrivals[0], 0.0);  // lost: it never arrives
+  eng.detach(seen);
 }
 
 TEST(Engine, TimingOnlyMessagesSkipPayload) {

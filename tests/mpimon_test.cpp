@@ -693,9 +693,9 @@ TEST(MpiMon, OscTrafficFilteredBySessionFlag) {
 }
 
 TEST(MpiMon, RmaGetAttributedToTargetAcrossThreads) {
-  // A get's traffic is src=target but the send hook runs on the origin's
-  // thread, so the target's accumulator takes the cross-thread (foreign
-  // slot) path. The target's session must still see the bytes it "sent".
+  // A get's traffic is src=target but the packet observer runs on the
+  // origin's thread, so the target's accumulator takes the cross-thread
+  // (foreign slot) path. The target's session must still see the bytes it "sent".
   Sim sim = make_sim(2);
   sim.run([](Ctx& ctx) {
     const Comm world = ctx.world();

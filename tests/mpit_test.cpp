@@ -132,6 +132,47 @@ TEST(Runtime, OfReturnsAttachedRuntime) {
   EXPECT_EQ(&Runtime::of(sim.engine()), &sim.tool());
 }
 
+TEST(Runtime, DestroyedRuntimeIsDetachedAndNeverCalledAgain) {
+  topo::Topology t({2, 1, 2}, {"node", "socket", "core"});
+  std::vector<net::LinkParams> params = {
+      {1e-5, 1e8}, {1e-6, 1e9}, {1e-7, 1e10}, {0.0, 1e12}};
+  net::CostModel cost(t, params, 1e-7);
+  mpi::EngineConfig cfg{.cost_model = cost,
+                        .placement = topo::round_robin_placement(2, t)};
+  cfg.watchdog_wall_timeout_s = 3.0;
+  cfg.monitor_event_cost_s = 1e-3;  // a recorded packet moves the clock
+  auto ping = [](Ctx& ctx) {
+    int v = 0;
+    if (ctx.world_rank() == 0)
+      mpi::send(&v, 1, Type::Int, 1, 0, ctx.world());
+    else
+      mpi::recv(&v, 1, Type::Int, 0, 0, ctx.world());
+  };
+
+  mpi::Engine bare(cfg);
+  bare.run(ping);
+
+  mpi::Engine eng(cfg);
+  {
+    Runtime rt(eng);
+    // Leave a started handle behind, so the runtime is still armed for
+    // packet events when it is destroyed.
+    eng.run([&](Ctx& ctx) {
+      const int sid = rt.session_create();
+      rt.handle_start(sid, rt.handle_alloc(sid, 0, ctx.world()));
+      ping(ctx);
+    });
+    EXPECT_NE(eng.final_clocks(), bare.final_clocks());  // it recorded
+    EXPECT_EQ(eng.find<Runtime>(), &rt);
+  }
+  EXPECT_EQ(eng.find<Runtime>(), nullptr);
+  EXPECT_THROW(Runtime::of(eng), MpitError);
+  // A call into the destroyed runtime would charge the record cost (and
+  // read freed memory, which the sanitizer presets catch).
+  eng.run(ping);
+  EXPECT_EQ(eng.final_clocks(), bare.final_clocks());
+}
+
 TEST(Runtime, StartedHandleCountsSentMessages) {
   Sim sim = make_sim(2);
   sim.run([&](Ctx& ctx) {

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "critpath/critpath.h"
 #include "fault/fault_plan.h"
 #include "minimpi/api.h"
 #include "minimpi/engine.h"
@@ -179,7 +180,7 @@ TEST(ObsplanePlane, IngestsMetricsAndReconcilesDropAccounting) {
   cfg.stream_path = path;
   auto plane = Plane::attach(eng, cfg);
   ASSERT_NE(plane, nullptr);
-  EXPECT_EQ(Plane::attached(eng), plane.get());
+  EXPECT_EQ(eng.find<Plane>(), plane.get());
   eng.run(ring_workload);
 
   EXPECT_TRUE(plane->finalized());
@@ -257,7 +258,7 @@ TEST(ObsplanePlane, SamePlaneObservesARerunAfterFinalize) {
   ASSERT_NE(plane, nullptr);
   eng.run(ring_workload);
   EXPECT_TRUE(plane->finalized());
-  eng.run(ring_workload);  // run-begin hook re-arms the plane
+  eng.run(ring_workload);  // on_run_begin re-arms the plane
   EXPECT_TRUE(plane->finalized());
   const auto lines = read_lines(path);
   EXPECT_EQ(count_type(lines, "run_start"), 2u);
@@ -296,7 +297,7 @@ TEST(ObsplaneStream, CrashedRankEpochsSurviveInStreamFile) {
   });
 
   EXPECT_EQ(eng.dead_ranks(), std::vector<int>{2});
-  EXPECT_TRUE(plane->finalized());  // run-end hook ran despite the crash
+  EXPECT_TRUE(plane->finalized());  // run end ran despite the crash
   const auto lines = read_lines(path);
   EXPECT_EQ(count_type(lines, "run_start"), 1u);
   EXPECT_GT(count_type(lines, "epoch"), 0u);
@@ -351,6 +352,50 @@ TEST(ObsplaneGovernor, MemoryPressureClimbsThroughTheWidenRung) {
   EXPECT_GE(gov.shed_steps(), 4u);
   EXPECT_EQ(plane->window_merge(), 2);
   EXPECT_TRUE(eng.telemetry().spans_suppressed());
+}
+
+TEST(ObsplaneCritpath, FindingsDoNotDependOnAttachOrder) {
+  // The plane folds the critical-path report into its run end whichever of
+  // the two the engine's observer list reaches first. Fibers: stream lines
+  // inside one epoch follow drain order, which only that backend fixes.
+  auto run = [](bool plane_first, const std::string& path,
+                std::vector<Finding>* findings) {
+    auto cfg = small_cfg(4);
+    cfg.sched = mpi::SchedMode::fibers;
+    mpi::Engine eng(cfg);
+    PlaneConfig pcfg;
+    pcfg.stream_path = path;
+    std::shared_ptr<Plane> plane;
+    if (plane_first) plane = Plane::attach(eng, pcfg);
+    critpath::Profiler::attach(eng);
+    if (!plane_first) plane = Plane::attach(eng, pcfg);
+    eng.run([](Ctx& ctx) {
+      if (ctx.world_rank() == 2) mpi::compute(2e-3);  // the late sender
+      ring_workload(ctx);
+    });
+    *findings = plane->findings();
+    std::ifstream f(path);
+    std::stringstream ss;
+    ss << f.rdbuf();
+    std::remove(path.c_str());
+    return ss.str();
+  };
+  std::vector<Finding> first, last;
+  const std::string a = run(true, temp_path("order_plane_first.jsonl"), &first);
+  const std::string b = run(false, temp_path("order_plane_last.jsonl"), &last);
+  EXPECT_FALSE(a.empty());
+  EXPECT_EQ(a, b);
+  ASSERT_EQ(first.size(), last.size());
+  bool critpath_finding = false;
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(first[i].kind, last[i].kind);
+    EXPECT_EQ(first[i].subject, last[i].subject);
+    EXPECT_EQ(first[i].e0, last[i].e0);
+    EXPECT_EQ(first[i].e1, last[i].e1);
+    EXPECT_EQ(first[i].text, last[i].text);
+    critpath_finding |= first[i].kind == "wait_state_dominant";
+  }
+  EXPECT_TRUE(critpath_finding);
 }
 
 // --- environment attach ------------------------------------------------------

@@ -44,9 +44,17 @@ TEST(RecordStress, PlanChurnUnderConcurrentTrafficStaysExact) {
   mpi::Engine engine(std::move(cfg));
 
   mpit::Runtime tool(engine);
-  std::atomic<long> observed{0};
-  tool.add_event_listener(
-      [&](const mpi::PktInfo&) { observed.fetch_add(1); });
+  // A second packet observer, armed for the whole run, counting next to the
+  // runtime's recording plans on every rank thread.
+  struct Counter : mpi::Observer {
+    std::atomic<long> observed{0};
+    int on_send(const mpi::PktInfo&, int) override {
+      observed.fetch_add(1);
+      return 0;
+    }
+  } counter;
+  engine.attach(counter);
+  engine.arm_packets(counter, true);
 
   engine.run([&](Ctx& ctx) {
     const Comm world = ctx.world();
@@ -107,8 +115,10 @@ TEST(RecordStress, PlanChurnUnderConcurrentTrafficStaysExact) {
     MPI_M_finalize();
   });
 
-  // The listener ran concurrently on every rank thread.
-  EXPECT_GT(observed.load(), static_cast<long>(kRanks) * kHammerIters / 2);
+  // The counter ran concurrently on every rank thread.
+  EXPECT_GT(counter.observed.load(),
+            static_cast<long>(kRanks) * kHammerIters / 2);
+  engine.detach(counter);
 }
 
 TEST(RecordStress, CrashShrinkAndRebindUnderPlanChurnStaysExact) {

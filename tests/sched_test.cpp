@@ -4,11 +4,16 @@
 // MPIM_SCHED). The sweep covers plain p2p + collectives, NIC contention,
 // fault plans, crash + shrink + rebind recovery, and the critical-path
 // profiler's labels; fiber-only cases check the structural deadlock
-// detector, timed receives, rerun determinism, and a np=512 recovery world
-// no thread backend could drive on this host.
+// detector, timed receives, rerun determinism, a np=512 recovery world
+// no thread backend could drive on this host, and a typed error when the
+// host refuses the fiber stack slab.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <memory>
@@ -492,6 +497,46 @@ TEST(SchedFibers, LargeWorldCompletesWherePthreadsCouldNot) {
   const auto clocks = eng.final_clocks();
   EXPECT_EQ(clocks.size(), static_cast<std::size_t>(kNp));
   for (double c : clocks) EXPECT_GT(c, 0.0);
+}
+
+TEST(SchedFibers, StackSlabRefusalIsATypedError) {
+  // A host that cannot back the fiber stack slab must fail the run with a
+  // catchable Error, not abort the process: callers (bench_scale) keep the
+  // results they already have. Run in a forked child whose address space
+  // is capped 128 MiB above its current size, below the 1024-rank slab
+  // (~260 MiB).
+  constexpr int kNp = 1024;
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    unsigned long vm_pages = 0;
+    std::FILE* statm = std::fopen("/proc/self/statm", "r");
+    if (statm == nullptr || std::fscanf(statm, "%lu", &vm_pages) != 1)
+      ::_exit(3);
+    std::fclose(statm);
+    const rlim_t cap =
+        static_cast<rlim_t>(vm_pages) * static_cast<rlim_t>(::getpagesize()) +
+        (rlim_t{128} << 20);
+    const struct rlimit lim = {cap, cap};
+    if (::setrlimit(RLIMIT_AS, &lim) != 0) ::_exit(4);
+    auto cfg = sched_cfg(kNp, /*nodes=*/64, /*cores=*/16);
+    cfg.sched = SchedMode::fibers;
+    try {
+      Engine eng(cfg);
+      eng.run([](Ctx&) {});
+    } catch (const Error&) {
+      ::_exit(0);
+    } catch (...) {
+      ::_exit(2);
+    }
+    ::_exit(1);  // the run went through: the cap did not bite
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "child died on signal " << WTERMSIG(status);
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "1 = run completed under the cap, 2 = untyped exception, "
+         "3/4 = child setup failed";
 }
 
 }  // namespace
