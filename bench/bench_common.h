@@ -4,6 +4,9 @@
 // "--csv <dir>" (also emit CSV files next to the printed tables).
 #pragma once
 
+#include <sys/utsname.h>
+#include <unistd.h>
+
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -24,6 +27,36 @@ struct Options {
   std::optional<std::string> csv_dir;
   std::string prog = "bench";  ///< binary basename, "bench_" prefix stripped
 };
+
+/// The host a BENCH_*.json was measured on (nproc, RAM, kernel, compiler,
+/// build type): absolute numbers from two hosts are not comparable, so
+/// readers can tell them apart. scripts/bench_trend.py reports a mismatch
+/// but never gates on it.
+inline std::vector<std::pair<std::string, std::string>> host_fingerprint() {
+  struct utsname u {};
+  const std::string kernel =
+      ::uname(&u) == 0 ? std::string(u.sysname) + " " + u.release + " " +
+                             u.machine
+                       : "unknown";
+  const long pages = ::sysconf(_SC_PHYS_PAGES);
+  const long page_size = ::sysconf(_SC_PAGESIZE);
+  const long long ram_mib =
+      pages > 0 && page_size > 0
+          ? static_cast<long long>(pages) * page_size / (1024 * 1024)
+          : -1;
+#if defined(__clang__)
+  const std::string compiler = std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  const std::string compiler = std::string("gcc ") + __VERSION__;
+#else
+  const std::string compiler = "unknown";
+#endif
+  return {{"nproc", std::to_string(::sysconf(_SC_NPROCESSORS_ONLN))},
+          {"ram_mib", std::to_string(ram_mib)},
+          {"kernel", kernel},
+          {"compiler", compiler},
+          {"build_type", MPIM_BUILD_TYPE}};
+}
 
 namespace detail {
 
@@ -58,7 +91,14 @@ inline void flush_json_sink() {
   std::ofstream os(sink.path);
   if (!os.good()) return;
   os << "{\n  \"format\": \"mpim-bench-tables\",\n  \"program\": \""
-     << json_escape(sink.prog) << "\",\n  \"tables\": [";
+     << json_escape(sink.prog) << "\",\n  \"host\": {";
+  bool first_key = true;
+  for (const auto& [key, value] : host_fingerprint()) {
+    os << (first_key ? "" : ", ") << '"' << key << "\": \"" << json_escape(value)
+       << '"';
+    first_key = false;
+  }
+  os << "},\n  \"tables\": [";
   bool first_table = true;
   for (const auto& [name, table] : sink.tables) {
     os << (first_table ? "\n" : ",\n") << "    {\"name\": \""

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "minimpi/api.h"
 #include "mpimon/mpi_monitoring.h"
 #include "mpimon/session.hpp"
@@ -188,6 +189,8 @@ int main(int argc, char** argv) {
   }
   int bench_argc = static_cast<int>(args.size());
   benchmark::Initialize(&bench_argc, args.data());
+  for (const auto& [key, value] : mpim::bench::host_fingerprint())
+    benchmark::AddCustomContext("mpim_host_" + key, value);
   if (benchmark::ReportUnrecognizedArguments(bench_argc, args.data()))
     return 1;
   benchmark::RunSpecifiedBenchmarks();

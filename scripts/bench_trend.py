@@ -16,6 +16,10 @@ exists, and exits non-zero when a *hot-path* metric regressed by more than
 REGRESSION_LIMIT. Non-hot-path metrics are reported but never gate: figure
 checks are pass/fail inside the bench binaries themselves, and host-side
 table numbers are too noisy to gate on.
+
+Both layouts also carry the fingerprint of the host that measured them
+(bench_common.h: top-level "host" object, or "mpim_host_*" context keys).
+It is not a metric: a baseline from another host is reported, never gated.
 """
 import json
 import math
@@ -74,6 +78,16 @@ def flatten(doc):
                    float(bench.get("real_time", math.nan)))
 
 
+def host_of(doc):
+    """The host fingerprint stamped into one BENCH_*.json, or None."""
+    if "host" in doc:
+        return doc["host"]
+    prefix = "mpim_host_"
+    ctx = doc.get("context", {})
+    return {k[len(prefix):]: v for k, v in ctx.items()
+            if k.startswith(prefix)} or None
+
+
 def baseline_for(path):
     """The committed version of `path`, or None when HEAD has no copy."""
     rel = path.relative_to(REPO)
@@ -96,15 +110,20 @@ def main():
 
     rows = []       # (key, current, baseline-or-None, delta-or-None, gated)
     regressions = []
+    other_host = []  # files whose baseline was measured on another host
     for path in files:
         try:
-            current = dict(flatten(json.loads(path.read_text())))
+            doc = json.loads(path.read_text())
+            current = dict(flatten(doc))
         except (json.JSONDecodeError, OSError) as e:
             print(f"bench_trend: cannot parse {path.name}: {e}",
                   file=sys.stderr)
             return 2
         base_doc = baseline_for(path)
         base = dict(flatten(base_doc)) if base_doc else {}
+        if base_doc and host_of(base_doc) and host_of(doc) and \
+                host_of(base_doc) != host_of(doc):
+            other_host.append(path.name)
         for key, val in sorted(current.items()):
             ref = base.get(key)
             delta = (val / ref - 1.0) if ref else None
@@ -127,6 +146,9 @@ def main():
         print(f"{key:<{width}}  {val:12.4g}  {ref_s}  {delta_s}  "
               f"{'hot' if gated else '-'}")
 
+    if other_host:
+        print(f"\nbench_trend: note -- baseline measured on another host "
+              f"(absolute numbers not comparable): {', '.join(other_host)}")
     if regressions:
         print(f"\nbench_trend: FAIL -- hot-path regression over "
               f"{REGRESSION_LIMIT:.0%}:")

@@ -1028,8 +1028,14 @@ int MPI_M_snapshot_start(MPI_M_msid msid, double window_s, int max_frames,
     mpim::mpi::Engine* eng = &Ctx::current().engine();
     auto phase_t0 = std::make_shared<double>(-1.0);
     auto dropped_seen = std::make_shared<std::uint64_t>(0);
+    // Closed phase intervals not yet recorded as spans. A rank's span ring
+    // (and the plane's staging ring behind the span sink) has one producer,
+    // the rank's own thread, so a phase closed on a peer's thread waits
+    // for the rank's next frame on its own thread.
+    auto phases =
+        std::make_shared<std::vector<std::pair<double, double>>>();
     sampler->set_frame_callback(
-        [hub, rank, raw, eng, phase_t0, dropped_seen](
+        [hub, rank, raw, eng, phase_t0, dropped_seen, phases](
             const mpim::introspect::Frame& f) {
           hub->add(hub->ids().introspect_frames, rank);
           // Streaming plane: stage the closed frame's totals. The callback
@@ -1040,9 +1046,13 @@ int MPI_M_snapshot_start(MPI_M_msid msid, double window_s, int max_frames,
           if (*phase_t0 < 0.0) *phase_t0 = f.t0_s;
           if (f.boundary) {
             hub->add(hub->ids().introspect_boundaries, rank);
-            hub->span_complete(rank, "introspect.phase", 'P', *phase_t0,
-                               f.t0_s);
+            phases->emplace_back(*phase_t0, f.t0_s);
             *phase_t0 = f.t0_s;
+          }
+          if (tele_rank() == rank) {
+            for (const auto& [t0, t1] : *phases)
+              hub->span_complete(rank, "introspect.phase", 'P', t0, t1);
+            phases->clear();
           }
           const std::uint64_t d = raw->frames_dropped();
           if (d > *dropped_seen) {

@@ -181,7 +181,7 @@ bool Plane::push(int rank, const StreamEvent& ev0) {
     p.dropped.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  p.buf[head % p.buf.size()] = ev;
+  p.buf.store(head % p.buf.size(), ev);
   p.head.store(head + 1, std::memory_order_release);
   return true;
 }
@@ -244,13 +244,21 @@ void Plane::on_frame(int rank, const introspect::Frame& f) {
       std::min<int>(tot.top_peer, std::numeric_limits<std::int16_t>::max()));
   ev.a = tot.bytes;
   ev.b = tot.msgs;
-  std::lock_guard<std::mutex> lk(frame_mx_);
-  ++frame_attempted_;
-  if (frame_q_.size() >= cfg_.ring_capacity) {
-    frame_dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  frame_q_.push_back(ev);
+  const auto stage = [&](bool first_try) {
+    std::lock_guard<std::mutex> lk(frame_mx_);
+    if (first_try) ++frame_attempted_;
+    if (frame_q_.size() >= cfg_.ring_capacity) return false;
+    frame_q_.push_back(ev);
+    return true;
+  };
+  if (stage(true)) return;
+  // The queue is shared by every rank but sized like one producer's ring,
+  // so at large np it fills well before the next epoch flush drains it:
+  // drain it here and retry once. No lock is held across try_drain
+  // (drain_locked takes frame_mx_ under drain_mx_); it returns at once when
+  // another thread is draining, and the frame is then dropped.
+  try_drain();
+  if (!stage(false)) frame_dropped_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Plane::on_span(int rank, const telemetry::SpanRec& rec) {
@@ -309,7 +317,7 @@ void Plane::drain_locked() {
     const std::uint64_t head = p.head.load(std::memory_order_acquire);
     std::uint64_t tail = p.tail.load(std::memory_order_relaxed);
     while (tail != head) {
-      apply_locked(p.buf[tail % p.buf.size()]);
+      apply_locked(p.buf.load(tail % p.buf.size()));
       ++tail;
       ingested_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -346,7 +354,9 @@ void Plane::apply_locked(const StreamEvent& ev) {
   const int merge = merge_.load(std::memory_order_relaxed);
   switch (ev.kind) {
     case StreamEvent::Kind::metric: {
-      Series& s = series_[{ev.rank, ev.id}];
+      auto [it, fresh] = series_.try_emplace({ev.rank, ev.id});
+      Series& s = it->second;
+      const std::uint64_t was = fresh ? 0 : series_bytes(s);
       const long me = ev.epoch / merge;
       if (!s.buckets.empty() && s.buckets.back().first >= me) {
         s.buckets.back().second += ev.a;
@@ -357,25 +367,27 @@ void Plane::apply_locked(const StreamEvent& ev) {
       s.hist.observe(ev.a);
       s.sketch.observe(ev.a);
       s.total += ev.a;
+      series_mem_ = series_mem_ - was + series_bytes(s);
       if (ev.id == kSlotRetransmits) retransmits_by_epoch_[ev.epoch] += ev.a;
       if (const char* what = derived_event_name(ev.id); what != nullptr)
         add_event_locked(ev.epoch, ev.rank, ev.t0_s, what, nullptr);
-      if (stream_) pending_[ev.epoch].push_back(ev);
       break;
     }
     case StreamEvent::Kind::frame: {
       if (ev.aux != 0)
         add_event_locked(ev.epoch, ev.rank, ev.t0_s, "phase", nullptr);
       mismatch_by_epoch_[ev.epoch] += ev.a;
-      if (stream_) pending_[ev.epoch].push_back(ev);
       break;
     }
     case StreamEvent::Kind::span: {
       if (ev.aux == 'S')
         add_event_locked(ev.epoch, ev.rank, ev.t0_s, "session", ev.name);
-      if (stream_) pending_[ev.epoch].push_back(ev);
       break;
     }
+  }
+  if (stream_) {
+    pending_[ev.epoch].push_back(ev);
+    ++pending_count_;
   }
 }
 
@@ -447,6 +459,7 @@ void Plane::emit_epoch_locked(long e) {
         ++n;
       }
     }
+    pending_count_ -= it->second.size();
     pending_.erase(it);
   }
   auto et = pending_events_.find(e);
@@ -525,17 +538,19 @@ void Plane::mirror_counters_locked() {
                 merge_.load(std::memory_order_relaxed));
 }
 
+std::uint64_t Plane::series_bytes(const Series& s) {
+  return sizeof(Series) +
+         s.buckets.size() * sizeof(std::pair<long, std::uint64_t>) +
+         s.sketch.stored() * 16;
+}
+
 void Plane::update_mem_gauge_locked() {
-  std::uint64_t mem =
+  // Staging rings count at full capacity (the governor reserves them so),
+  // though only the slots a run reaches become resident.
+  const std::uint64_t mem =
       static_cast<std::uint64_t>(nranks_) * cfg_.ring_capacity *
-      sizeof(StreamEvent);
-  for (const auto& kv : series_) {
-    mem += sizeof(Series) + kv.second.buckets.size() * sizeof(std::pair<long, std::uint64_t>);
-    mem += kv.second.sketch.stored() * 16;
-  }
-  std::uint64_t pend = 0;
-  for (const auto& kv : pending_) pend += kv.second.size();
-  mem += pend * sizeof(StreamEvent);
+          sizeof(StreamEvent) +
+      series_mem_ + pending_count_ * sizeof(StreamEvent);
   mem_bytes_.store(mem, std::memory_order_relaxed);
   engine_.telemetry().gauge_set(engine_.telemetry().ids().obsplane_mem_bytes, 0,
                                 static_cast<std::int64_t>(mem));
@@ -552,7 +567,9 @@ void Plane::on_run_begin() {
     p->final_flag.store(false, std::memory_order_relaxed);
   }
   series_.clear();
+  series_mem_ = 0;
   pending_.clear();
+  pending_count_ = 0;
   pending_events_.clear();
   retransmits_by_epoch_.clear();
   mismatch_by_epoch_.clear();
@@ -683,6 +700,7 @@ void Plane::widen_windows() {
   merge_.store(merge, std::memory_order_relaxed);
   for (auto& kv : series_) {
     Series& s = kv.second;
+    series_mem_ -= series_bytes(s);
     std::deque<std::pair<long, std::uint64_t>> rekeyed;
     for (const auto& b : s.buckets) {
       const long me = b.first / 2;
@@ -692,6 +710,7 @@ void Plane::widen_windows() {
         rekeyed.emplace_back(me, b.second);
     }
     s.buckets.swap(rekeyed);
+    series_mem_ += series_bytes(s);
   }
   engine_.telemetry().gauge_set(engine_.telemetry().ids().obsplane_window_merge,
                                 0, merge);

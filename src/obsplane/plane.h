@@ -44,6 +44,7 @@
 #include "minimpi/engine.h"
 #include "obsplane/correlate.h"
 #include "obsplane/sketch.h"
+#include "support/slots.h"
 
 namespace mpim::introspect {
 struct Frame;
@@ -117,7 +118,8 @@ class Plane final : public mpi::Observer {
   void on_epoch(int rank, double now_s, bool final_flush) override;
   /// Snapshot-frame forwarding (mpimon session frame callback). May run on
   /// a foreign thread for RMA traffic, so frames stage through a small
-  /// mutexed side queue rather than the rank's SPSC ring.
+  /// mutexed side queue rather than the rank's SPSC ring. A full queue is
+  /// drained on the spot (non-blocking) before a frame counts as dropped.
   void on_frame(int rank, const introspect::Frame& f);
   /// Telemetry span sink (rank's own thread per the Hub contract).
   void on_span(int rank, const telemetry::SpanRec& rec);
@@ -172,7 +174,7 @@ class Plane final : public mpi::Observer {
   struct Producer {
     explicit Producer(std::size_t cap) : buf(cap) {}
     // SPSC ring: the rank thread pushes, the draining consumer pops.
-    std::vector<StreamEvent> buf;
+    Slots<StreamEvent> buf;
     std::atomic<std::uint64_t> head{0};  ///< producer-advanced
     std::atomic<std::uint64_t> tail{0};  ///< consumer-advanced
     std::atomic<std::uint64_t> dropped{0};
@@ -192,6 +194,8 @@ class Plane final : public mpi::Observer {
     std::uint64_t total = 0;
   };
 
+  /// Bytes one series counts toward the working-set gauge.
+  static std::uint64_t series_bytes(const Series& s);
   bool push(int rank, const StreamEvent& ev);
   void drain_locked();
   void apply_locked(const StreamEvent& ev);
@@ -224,7 +228,9 @@ class Plane final : public mpi::Observer {
   // Consumer state, all guarded by drain_mx_.
   mutable std::mutex drain_mx_;
   std::map<std::pair<int, int>, Series> series_;      // (rank, slot)
+  std::uint64_t series_mem_ = 0;  ///< sum of series_bytes over series_
   std::map<long, std::vector<StreamEvent>> pending_;  // raw epoch -> events
+  std::uint64_t pending_count_ = 0;  ///< events held in pending_
   std::map<long, std::vector<EventRec>> pending_events_;
   std::map<long, std::uint64_t> retransmits_by_epoch_;
   std::map<long, std::uint64_t> mismatch_by_epoch_;

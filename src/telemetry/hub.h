@@ -198,10 +198,10 @@ class Hub {
   };
 
   /// A rank's ring is allocated on its first recorded span, not in the
-  /// constructor: at the default capacity a ring is 1 MiB/rank, which at
-  /// np=4096+ would dominate the whole engine's working set even with
-  /// telemetry disabled (the default). The slot pointer transitions
-  /// nullptr -> ring exactly once (creation serialized by spans_init_mutex_,
+  /// constructor: at the default capacity a ring reserves 1 MiB/rank of
+  /// address space (resident only as far as its pushes reach), which
+  /// telemetry disabled (the default) never needs. The slot pointer
+  /// transitions nullptr -> ring exactly once (creation serialized by spans_init_mutex_,
   /// published with a release store), so the post-creation record path
   /// stays lock-free on the rank's own thread.
   RankSpans& ensure_rank_spans(int rank);

@@ -9,12 +9,18 @@
 // Readers (snapshot, counters) are exact once the rank threads have been
 // joined; a mid-run snapshot may miss or tear the record currently being
 // overwritten, which is acceptable for monitoring reads.
+//
+// The backing store is uninitialised Slots (support/slots.h): a ring costs
+// resident memory only for the slots its pushes have reached.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "support/slots.h"
 
 namespace mpim::telemetry {
 
@@ -22,7 +28,7 @@ template <typename T>
 class Ring {
  public:
   explicit Ring(std::size_t capacity)
-      : buf_(capacity == 0 ? 1 : capacity), limit_(buf_.size()) {}
+      : buf_(capacity), limit_(buf_.size()) {}
 
   std::size_t capacity() const { return buf_.size(); }
 
@@ -42,7 +48,10 @@ class Ring {
   void push(const T& v) {
     const std::size_t cap = limit();
     const std::uint64_t n = pushed_.load(std::memory_order_relaxed);
-    buf_[static_cast<std::size_t>(n % cap)] = v;
+    const auto slot = static_cast<std::size_t>(n % cap);
+    buf_.store(slot, v);
+    if (slot >= written_.load(std::memory_order_relaxed))
+      written_.store(slot + 1, std::memory_order_relaxed);
     pushed_.store(n + 1, std::memory_order_release);
   }
 
@@ -63,26 +72,31 @@ class Ring {
         std::min<std::uint64_t>(pushed(), limit()));
   }
 
-  /// Held records, oldest first.
+  /// Held records, oldest first. A limit raised after a wrap at a lower
+  /// one exposes slots no push has reached yet; they read as T{}.
   std::vector<T> snapshot() const {
     const std::uint64_t n = pushed();
+    const std::size_t written = written_.load(std::memory_order_relaxed);
     const std::size_t cap = limit();
     const std::size_t held = static_cast<std::size_t>(
         std::min<std::uint64_t>(n, cap));
     std::vector<T> out;
     out.reserve(held);
     const std::uint64_t first = n - held;
-    for (std::uint64_t i = first; i < n; ++i)
-      out.push_back(buf_[static_cast<std::size_t>(i % cap)]);
+    for (std::uint64_t i = first; i < n; ++i) {
+      const auto slot = static_cast<std::size_t>(i % cap);
+      out.push_back(slot < written ? buf_.load(slot) : T{});
+    }
     return out;
   }
 
   void clear() { pushed_.store(0, std::memory_order_release); }
 
  private:
-  std::vector<T> buf_;
+  Slots<T> buf_;
   std::atomic<std::size_t> limit_;
   std::atomic<std::uint64_t> pushed_{0};
+  std::atomic<std::size_t> written_{0};  ///< slots [0, written_) were stored
 };
 
 }  // namespace mpim::telemetry

@@ -1,10 +1,15 @@
 // Streaming aggregation plane: mergeable sketches, the lock-free ingest
-// layer and its drop accounting, epoch-aligned JSONL export (including the
+// layer and its drop accounting, the snapshot-frame queue under bursts and
+// peer-thread frames, the resident cost of the span and staging rings at
+// np=2048, epoch-aligned JSONL export (including the
 // crash-teardown ordering that keeps flushed epochs on disk), clock
 // bit-identity with the plane on/off, the governor's widen rung, the
 // environment attach path, the pvar-table doc drift check, and the
 // monview --live tailer over canned (torn/malformed) stream files.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdlib>
 #include <filesystem>
@@ -18,8 +23,12 @@
 #include "fault/fault_plan.h"
 #include "minimpi/api.h"
 #include "minimpi/engine.h"
+#include "minimpi/osc.h"
 #include "mpimon/governor.h"
+#include "mpimon/mpi_monitoring.h"
+#include "mpimon/session.hpp"
 #include "mpit/pvar.h"
+#include "mpit/runtime.h"
 #include "obsplane/plane.h"
 #include "obsplane/sketch.h"
 #include "telemetry/hub.h"
@@ -63,6 +72,19 @@ mpi::EngineConfig small_cfg(int nranks,
                        .placement = topo::round_robin_placement(nranks, t)};
   cfg.watchdog_wall_timeout_s = 5.0;
   cfg.fault_plan = std::move(plan);
+  return cfg;
+}
+
+/// A fiber world of `nranks` ranks, 16 per node.
+mpi::EngineConfig fiber_cfg(int nranks) {
+  topo::Topology t({nranks / 16, 1, 16}, {"node", "socket", "core"});
+  std::vector<net::LinkParams> params = {
+      {1e-5, 1e8}, {1e-6, 1e9}, {1e-7, 1e10}, {0.0, 1e12}};
+  net::CostModel cost(t, params, /*send_overhead=*/1e-7);
+  mpi::EngineConfig cfg{.cost_model = cost,
+                       .placement = topo::round_robin_placement(nranks, t)};
+  cfg.sched = mpi::SchedMode::fibers;
+  cfg.watchdog_wall_timeout_s = 60.0;
   return cfg;
 }
 
@@ -222,6 +244,163 @@ TEST(ObsplanePlane, TinyRingsDropNewestButAccountingStillReconciles) {
   EXPECT_GT(plane->events_dropped(), 0u);
   EXPECT_EQ(plane->events_attempted(),
             plane->events_ingested() + plane->events_dropped());
+}
+
+TEST(ObsplanePlane, StagingRingKeepsOrderAcrossWrapAndDropsNewestWhenFull) {
+  const std::string path = temp_path("obsplane_staging.jsonl");
+  std::remove(path.c_str());
+  mpi::Engine eng(small_cfg(2));
+  PlaneConfig cfg;
+  cfg.ring_capacity = 2;
+  cfg.stream_path = path;
+  auto plane = Plane::attach(eng, cfg);
+  ASSERT_NE(plane, nullptr);
+  auto span = [&](const char* name) {
+    telemetry::SpanRec rec;
+    std::snprintf(rec.name, sizeof rec.name, "%s", name);
+    rec.cat = 'S';
+    plane->on_span(0, rec);
+  };
+  span("s0");
+  span("s1");
+  plane->try_drain();
+  EXPECT_EQ(plane->events_ingested(), 2u);
+  span("s2");  // wraps onto the slots s0 and s1 used
+  span("s3");
+  span("s4");  // full: the newest is dropped
+  EXPECT_EQ(plane->events_dropped(), 1u);
+  plane->finalize();
+  EXPECT_EQ(plane->events_ingested(), 4u);
+  EXPECT_EQ(plane->events_attempted(),
+            plane->events_ingested() + plane->events_dropped());
+
+  std::vector<std::string> names;
+  for (const std::string& l : read_lines(path)) {
+    if (l.find("\"type\":\"span\"") == std::string::npos) continue;
+    const auto at = l.find("\"name\":\"") + 8;
+    names.push_back(l.substr(at, l.find('"', at) - at));
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"s0", "s1", "s2", "s3"}));
+  std::remove(path.c_str());
+}
+
+TEST(ObsplanePlane, SnapshotFrameBurstsAreDrainedNotDropped) {
+  // Every rank's MPI_M_suspend flushes ~30 closed frames and no rank
+  // crosses an epoch between its suspend and the last one: 256 x 30
+  // frames reach the frame queue, which holds ring_capacity (4,096).
+  constexpr int kNp = 256;
+  mpi::Engine eng(fiber_cfg(kNp));
+  mpit::Runtime tool(eng);
+  auto plane = Plane::attach(eng, {});
+  ASSERT_NE(plane, nullptr);
+  eng.run([](Ctx& ctx) {
+    const Comm world = ctx.world();
+    const int me = mpi::comm_rank(world);
+    mon::Environment env;
+    MPI_M_msid id = -1;
+    ASSERT_EQ(MPI_M_start(world, &id), MPI_M_SUCCESS);
+    ASSERT_EQ(MPI_M_snapshot_start(id, 1e-3, 64, MPI_M_P2P_ONLY),
+              MPI_M_SUCCESS);
+    char out = 0, in = 0;
+    mpi::sendrecv(&out, 1, Type::Char, (me + 1) % kNp, 0, &in, 1,
+                  (me + kNp - 1) % kNp, 0, world);
+    mpi::compute(30e-3);
+    mpi::barrier(world);
+    ASSERT_EQ(MPI_M_suspend(id), MPI_M_SUCCESS);
+    mpi::barrier(world);
+  });
+  const auto& hub = eng.telemetry();
+  EXPECT_GT(hub.registry().counter_total(hub.ids().introspect_frames),
+            plane->config().ring_capacity);
+  EXPECT_EQ(plane->events_dropped(), 0u);
+  EXPECT_EQ(plane->events_attempted(),
+            plane->events_ingested() + plane->events_dropped());
+}
+
+TEST(ObsplanePlane, FullFrameQueueDrainsUnderConcurrentRankThreads) {
+  // Threads backend and a two-frame queue: every rank thread fills it, and
+  // an RMA get closes the target's frames on the origin's thread, so the
+  // drain-on-full path races epoch drains (the tsan lane watches this).
+  // The phase spans of those frames must still reach the target's span
+  // and staging rings from the target's own thread: a second producer
+  // there loses sequence numbers and breaks the accounting identity.
+  mpi::Engine eng(small_cfg(8));
+  mpit::Runtime tool(eng);
+  PlaneConfig cfg;
+  cfg.epoch_s = 1e-4;
+  cfg.ring_capacity = 2;
+  auto plane = Plane::attach(eng, cfg);
+  ASSERT_NE(plane, nullptr);
+  eng.run([](Ctx& ctx) {
+    const Comm world = ctx.world();
+    const int n = mpi::comm_size(world);
+    const int me = mpi::comm_rank(world);
+    mon::Environment env;
+    MPI_M_msid id = -1;
+    ASSERT_EQ(MPI_M_start(world, &id), MPI_M_SUCCESS);
+    ASSERT_EQ(MPI_M_snapshot_start(id, 1e-4, 64, MPI_M_ALL_COMM),
+              MPI_M_SUCCESS);
+    long cell = me;
+    mpi::Win win = mpi::Win::create(&cell, sizeof cell, world);
+    win.fence();
+    for (int i = 0; i < 20; ++i) {
+      mpi::compute(1e-4);
+      long got = -1;
+      win.get(&got, 1, Type::Long, (me + i + 1) % n, 0);
+      win.fence();
+    }
+    ASSERT_EQ(MPI_M_suspend(id), MPI_M_SUCCESS);
+  });
+  const auto& hub = eng.telemetry();
+  EXPECT_GT(hub.registry().counter_total(hub.ids().introspect_frames), 8u * 20);
+  EXPECT_GT(plane->events_ingested(), 0u);
+  EXPECT_EQ(plane->events_attempted(),
+            plane->events_ingested() + plane->events_dropped());
+}
+
+TEST(ObsplanePlane, RingsCostOnlyTheRecordsTheyHold) {
+  // np=2048 with telemetry on, a plane attached and one span per rank. The
+  // span rings (16,384 x 64 B per rank) and the staging rings (4,096 x
+  // 80 B per rank) reserve 2.6 GiB between them; the run stores a handful
+  // of records per rank. A forked child measures its own peak RSS around a
+  // second run, after a bare first run has touched the fiber stacks.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer shadow memory grows with every allocation";
+#endif
+  constexpr int kNp = 2048;
+  constexpr long kBoundKiB = 64 << 10;
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    long grown_kib = -1;
+    try {
+      mpi::Engine eng(fiber_cfg(kNp));
+      const auto one_span = [](Ctx& ctx) {
+        mpi::compute(1e-4);
+        ctx.engine().telemetry().span_complete(ctx.world_rank(), "probe",
+                                               'S', 0.0, ctx.now());
+      };
+      eng.run(one_span);
+      struct rusage before {};
+      ::getrusage(RUSAGE_SELF, &before);
+      auto plane = Plane::attach(eng, {});  // turns telemetry on
+      eng.run(one_span);
+      if (eng.telemetry().spans_recorded() != kNp) ::_exit(3);
+      struct rusage after {};
+      ::getrusage(RUSAGE_SELF, &after);
+      grown_kib = after.ru_maxrss - before.ru_maxrss;
+    } catch (...) {
+      ::_exit(2);
+    }
+    std::fprintf(stderr, "peak RSS grew %ld KiB\n", grown_kib);
+    ::_exit(grown_kib < kBoundKiB ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "child died on signal " << WTERMSIG(status);
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "1 = peak RSS grew by 64 MiB or more, 2 = exception, "
+         "3 = not one span per rank";
 }
 
 TEST(ObsplanePlane, ClocksBitIdenticalWithAndWithoutPlane) {

@@ -155,6 +155,34 @@ TEST(Ring, HoldsEverythingBelowCapacity) {
   EXPECT_EQ(ring.size(), 2u);
   EXPECT_EQ(ring.dropped(), 0u);
   EXPECT_EQ(ring.snapshot(), (std::vector<int>{10, 11}));
+
+  // Records come back byte for byte from the uninitialised slots.
+  Ring<SpanRec> spans(1u << 14);
+  SpanRec a;
+  std::snprintf(a.name, sizeof a.name, "alpha");
+  a.cat = 'C';
+  a.depth = 2;
+  a.t0_s = 1.5;
+  a.t1_s = 2.5;
+  a.a = -7;
+  a.b = 1 << 20;
+  SpanRec b = a;
+  b.name[0] = 'A';
+  b.b = 0;
+  spans.push(a);
+  spans.push(b);
+  const std::vector<SpanRec> got = spans.snapshot();
+  ASSERT_EQ(got.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const SpanRec& want = i == 0 ? a : b;
+    EXPECT_STREQ(got[i].name, want.name);
+    EXPECT_EQ(got[i].cat, want.cat);
+    EXPECT_EQ(got[i].depth, want.depth);
+    EXPECT_EQ(got[i].t0_s, want.t0_s);
+    EXPECT_EQ(got[i].t1_s, want.t1_s);
+    EXPECT_EQ(got[i].a, want.a);
+    EXPECT_EQ(got[i].b, want.b);
+  }
 }
 
 TEST(Ring, WraparoundDropsOldestAndCounts) {
@@ -168,6 +196,26 @@ TEST(Ring, WraparoundDropsOldestAndCounts) {
   ring.clear();
   EXPECT_EQ(ring.size(), 0u);
   EXPECT_EQ(ring.dropped(), 0u);
+}
+
+TEST(Ring, LoweredLimitWrapsAtTheNewCap) {
+  Ring<int> ring(8);
+  for (int i = 0; i < 6; ++i) ring.push(i);
+  ring.set_limit(4);
+  EXPECT_EQ(ring.dropped(), 2u);
+  // Until `limit` more pushes, the held window interleaves stale slots.
+  EXPECT_EQ(ring.snapshot(), (std::vector<int>{2, 3, 0, 1}));
+  for (int i = 6; i < 10; ++i) ring.push(i);
+  EXPECT_EQ(ring.snapshot(), (std::vector<int>{6, 7, 8, 9}));
+  EXPECT_EQ(ring.dropped(), 6u);
+}
+
+TEST(Ring, RaisedLimitReadsUnwrittenSlotsAsDefault) {
+  Ring<int> ring(8);
+  ring.set_limit(2);
+  for (int i = 1; i <= 5; ++i) ring.push(i);  // slots 0 and 1 only
+  ring.set_limit(8);
+  EXPECT_EQ(ring.snapshot(), (std::vector<int>{5, 4, 0, 0, 0}));
 }
 
 TEST(Ring, ZeroCapacityIsCoercedToOne) {
