@@ -1,7 +1,12 @@
 #!/usr/bin/env python3
-"""Merge results/BENCH_*.json into one trajectory table and gate regressions.
+"""Merge BENCH_*.json into one trajectory table and gate regressions.
 
-Two producers feed the results/ directory:
+    python3 scripts/bench_trend.py [DIR]
+
+reads the fresh BENCH_*.json files in DIR (default: results/) and compares
+each with the baseline committed as results/<same name> at HEAD.
+
+Two producers feed the directory:
 
   * google-benchmark binaries (bench_micro, bench_telemetry) write the stock
     ``{"context": ..., "benchmarks": [...]}`` layout; the interesting numbers
@@ -90,9 +95,8 @@ def host_of(doc):
 
 def baseline_for(path):
     """The committed version of `path`, or None when HEAD has no copy."""
-    rel = path.relative_to(REPO)
     proc = subprocess.run(
-        ["git", "-C", str(REPO), "show", f"HEAD:{rel.as_posix()}"],
+        ["git", "-C", str(REPO), "show", f"HEAD:results/{path.name}"],
         capture_output=True, text=True)
     if proc.returncode != 0:
         return None
@@ -103,9 +107,10 @@ def baseline_for(path):
 
 
 def main():
-    files = sorted(RESULTS.glob("BENCH_*.json"))
+    results = Path(sys.argv[1]) if len(sys.argv) > 1 else RESULTS
+    files = sorted(results.glob("BENCH_*.json"))
     if not files:
-        print(f"bench_trend: no BENCH_*.json under {RESULTS}", file=sys.stderr)
+        print(f"bench_trend: no BENCH_*.json under {results}", file=sys.stderr)
         return 2
 
     rows = []       # (key, current, baseline-or-None, delta-or-None, gated)

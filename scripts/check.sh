@@ -7,6 +7,10 @@
 #             the "introspect" label, a stencil_reorder smoke run, and the
 #             bench trajectory gate (quick benches + scripts/bench_trend.py
 #             vs the committed results/BENCH_*.json baselines)
+#
+# Everything a lane writes (bench CSV/JSON, example outputs) goes to the
+# git-ignored build/results/, so running the gate never rewrites the
+# tracked baselines under results/.
 #   asan      ctest filtered to label "sanitize" (the preset's filter)
 #   tsan      ctest filtered to label "sanitize-thread": the
 #             concurrent-recording stress suite, where rank threads hammer
@@ -40,6 +44,9 @@ cd "$(dirname "$0")/.."
 
 jobs="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 bench='./build/bench'
+out='build/results'
+# Examples write results/<file> under their working directory.
+example() { (cd build && "./examples/$1" >/dev/null); }
 
 # One row per lane, six fields:
 #   name    selected with --<name>-only
@@ -58,45 +65,45 @@ lanes=(
   default 1 "" "" all "
     ctest --preset default --output-on-failure -j $jobs
     ctest --preset default --output-on-failure -j $jobs -L introspect
-    ./build/examples/stencil_reorder >/dev/null
-    $bench/bench_introspect --quick --csv results
-    $bench/bench_record --quick --csv results
-    $bench/bench_recovery --quick --csv results
-    $bench/bench_stream --quick --csv results
-    $bench/bench_critpath --quick --csv results
+    example stencil_reorder
+    $bench/bench_introspect --quick --csv $out
+    $bench/bench_record --quick --csv $out
+    $bench/bench_recovery --quick --csv $out
+    $bench/bench_stream --quick --csv $out
+    $bench/bench_critpath --quick --csv $out
     trend"
   asan 1 preset "" "" ""
   tsan 1 "" preset "" ""
   recovery 0 "-L fault|recovery|sanitize-thread" \
     "-L fault|recovery|sanitize-thread" \
     "faulty_reorder bench_recovery" "
-    ./build/examples/faulty_reorder >/dev/null
-    $bench/bench_recovery --quick --csv results"
+    example faulty_reorder
+    $bench/bench_recovery --quick --csv $out"
   stream 0 "-L obsplane" \
     "-L obsplane" \
     "stream_monitor monview bench_stream" "
-    ./build/examples/stream_monitor >/dev/null
-    ./build/src/tools/monview --live results/stream_monitor.jsonl --once >/dev/null
-    $bench/bench_stream --quick --csv results
+    example stream_monitor
+    ./build/src/tools/monview --live $out/stream_monitor.jsonl --once >/dev/null
+    $bench/bench_stream --quick --csv $out
     trend"
   critpath 0 "-L critpath" \
     "-L critpath" \
     "stencil_reorder profview bench_critpath" "
-    ./build/examples/stencil_reorder >/dev/null
-    ./build/src/tools/profview --critical-path results/stencil_critpath.csv >/dev/null
-    $bench/bench_critpath --quick --csv results
+    example stencil_reorder
+    ./build/src/tools/profview --critical-path $out/stencil_critpath.csv >/dev/null
+    $bench/bench_critpath --quick --csv $out
     trend"
   fabric 0 "-L fabric" \
     "-L fabric" \
     "fabric_tour monview bench_fabric" "
-    ./build/examples/fabric_tour >/dev/null
-    ./build/src/tools/monview --timeline results/fabric_frames.csv >/dev/null
-    $bench/bench_fabric --quick --csv results
+    example fabric_tour
+    ./build/src/tools/monview --timeline $out/fabric_frames.csv >/dev/null
+    $bench/bench_fabric --quick --csv $out
     trend"
   scale 0 "-L sched" \
     "-R ^Sched" \
     "bench_scale" "
-    $bench/bench_scale --quick --csv results
+    $bench/bench_scale --quick --csv $out
     trend"
 )
 flags=()
@@ -112,7 +119,7 @@ esac
 
 trend() {
   if command -v python3 >/dev/null 2>&1; then
-    python3 scripts/bench_trend.py
+    python3 scripts/bench_trend.py "$out"
   else
     echo "bench_trend: python3 not found, skipping trajectory gate" >&2
   fi
@@ -151,7 +158,7 @@ for ((i = 0; i < ${#lanes[@]}; i += 6)); do
     # shellcheck disable=SC2086  # the targets are a word list
     cmake --build --preset default -j "$jobs" --target $targets
   fi
-  mkdir -p results
+  mkdir -p "$out"
   mapfile -t cmds <<<"$run"
   for cmd in "${cmds[@]}"; do
     [ -z "${cmd// /}" ] || eval "$cmd"

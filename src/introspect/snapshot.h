@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <utility>
 #include <vector>
 
 namespace mpim::introspect {
@@ -103,14 +104,17 @@ class WindowSampler {
 
   bool open_ = false;   ///< a current window exists
   long current_ = 0;    ///< index of the open window
-  /// Dense accumulators of the open window, [kind][peer].
-  std::vector<unsigned long> acc_counts_[kNumKinds];
-  std::vector<unsigned long> acc_bytes_[kNumKinds];
-  bool touched_ = false;
+  /// The open window's cells, one per peer recorded in it, in first-record
+  /// order: a record touches one cell and a close costs O(cells), not
+  /// O(npeers). cell_of_[peer] indexes them (-1: none yet).
+  std::vector<FrameCell> cells_;
+  std::vector<int> cell_of_;
 
-  /// Per-peer byte row of the previously closed window (kinds summed),
-  /// the phase detector's comparison vector.
-  std::vector<unsigned long> prev_row_;
+  /// Sparse per-peer byte row (kinds summed) of a closed window, ascending
+  /// by peer: the phase detector's comparison vector.
+  using SparseRow = std::vector<std::pair<int, unsigned long>>;
+  SparseRow prev_row_;
+  SparseRow row_;  ///< the closing window's row (capacity reused)
   bool have_prev_ = false;
 
   std::deque<Frame> frames_;

@@ -86,11 +86,23 @@ inline void copy_block(void* dst, const void* src, std::size_t bytes) {
     std::memcpy(dst, src, bytes);
 }
 
-/// Scratch buffer allocated only when the collective carries real data.
+/// Zeroed scratch buffer allocated only when the collective carries real
+/// data. Zeroed because receives fill it, and a timing-only message leaves
+/// the receive buffer untouched.
 inline std::unique_ptr<std::byte[]> scratch_if(bool needed,
                                                std::size_t bytes) {
   return (needed && bytes > 0) ? std::make_unique<std::byte[]>(bytes)
                                : nullptr;
+}
+
+/// A private copy of `src` (null when `src` is): every byte is written from
+/// the source, so the buffer skips the zero-fill.
+inline std::unique_ptr<std::byte[]> copy_of(const void* src,
+                                            std::size_t bytes) {
+  if (src == nullptr || bytes == 0) return nullptr;
+  auto buf = std::make_unique_for_overwrite<std::byte[]>(bytes);
+  std::memcpy(buf.get(), src, bytes);
+  return buf;
 }
 
 }  // namespace mpim::mpi::coll::detail

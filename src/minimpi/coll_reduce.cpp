@@ -78,9 +78,8 @@ void reduce(Ctx& ctx, const void* sendbuf, void* recvbuf, std::size_t count,
   const std::size_t bytes = count * type_size(type);
 
   ReduceBuffers b;
-  b.acc = detail::scratch_if(sendbuf != nullptr, bytes);
+  b.acc = detail::copy_of(sendbuf, bytes);
   b.tmp = detail::scratch_if(sendbuf != nullptr, bytes);
-  detail::copy_block(b.acc.get(), sendbuf, bytes);
   // Charge the local combining work (count ops per received partial result
   // is already implicit in virtual transfer times; we charge only the own
   // arithmetic once to keep the model simple and deterministic).
@@ -110,9 +109,8 @@ void allreduce(Ctx& ctx, const void* sendbuf, void* recvbuf,
   const int size = r.size();
   const int rank = r.rank();
 
-  auto acc = detail::scratch_if(sendbuf != nullptr, bytes);
+  auto acc = detail::copy_of(sendbuf, bytes);
   auto tmp = detail::scratch_if(sendbuf != nullptr, bytes);
-  detail::copy_block(acc.get(), sendbuf, bytes);
   ctx.compute_flops(static_cast<double>(count));
 
   if (size > 1 &&

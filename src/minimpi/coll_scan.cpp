@@ -58,9 +58,8 @@ void scan(Ctx& ctx, const void* sendbuf, void* recvbuf, std::size_t count,
           Type type, Op op, const Comm& comm, CommKind kind) {
   detail::Round r(ctx, comm, kind);
   const std::size_t bytes = count * type_size(type);
-  auto acc = detail::scratch_if(sendbuf != nullptr, bytes);
+  auto acc = detail::copy_of(sendbuf, bytes);
   auto tmp = detail::scratch_if(sendbuf != nullptr, bytes);
-  detail::copy_block(acc.get(), sendbuf, bytes);
   ctx.compute_flops(static_cast<double>(count));
   if (r.size() == 1) {
     detail::copy_block(recvbuf, acc.get(), bytes);
@@ -74,9 +73,8 @@ void exscan(Ctx& ctx, const void* sendbuf, void* recvbuf, std::size_t count,
             Type type, Op op, const Comm& comm, CommKind kind) {
   detail::Round r(ctx, comm, kind);
   const std::size_t bytes = count * type_size(type);
-  auto acc = detail::scratch_if(sendbuf != nullptr, bytes);
+  auto acc = detail::copy_of(sendbuf, bytes);
   auto tmp = detail::scratch_if(sendbuf != nullptr, bytes);
-  detail::copy_block(acc.get(), sendbuf, bytes);
   ctx.compute_flops(static_cast<double>(count));
   if (r.size() == 1) return;  // rank 0 untouched
   scan_impl(r, acc.get(), tmp.get(), count, type, op, bytes,
@@ -99,9 +97,8 @@ void reduce_scatter_block(Ctx& ctx, const void* sendbuf, void* recvbuf,
   if (pof2) {
     // Recursive halving: the canonical MPICH algorithm.
     const std::size_t total = static_cast<std::size_t>(size) * block_bytes;
-    auto acc = detail::scratch_if(sendbuf != nullptr, total);
+    auto acc = detail::copy_of(sendbuf, total);
     auto tmp = detail::scratch_if(sendbuf != nullptr, total / 2);
-    detail::copy_block(acc.get(), sendbuf, total);
     ctx.compute_flops(static_cast<double>(count) * size);
 
     std::size_t cur_off = 0;                      // in blocks

@@ -176,16 +176,17 @@ std::shared_ptr<void> Engine::get_or_create_tool_object(
   return obj;
 }
 
-void Engine::deliver(InFlight msg) {
+void Engine::deliver(InFlight&& msg) {
   const int dst_rank = msg.info.dst_world;
   const double arrival = msg.arrival_s;
   const std::size_t msg_bytes = msg.info.bytes;
+  const CommKind kind = msg.info.kind;
   RankState& dst = rank_state(dst_rank);
   {
-    std::lock_guard lock(dst.mutex);
-    dst.inbox.push_back(std::move(msg));
+    const auto lock = lock_unless_fibers(dst.mutex);
+    dst.inbox.push(std::move(msg));
     ++dst.inbox_version;
-    if (hub_.enabled()) {
+    if (kind != CommKind::tool && hub_.enabled()) {
       const telemetry::StdIds& ids = hub_.ids();
       hub_.registry().observe(ids.engine_inbox_depth, dst_rank,
                               static_cast<double>(dst.inbox.size()));
@@ -195,8 +196,8 @@ void Engine::deliver(InFlight msg) {
     if (cfg_.nic_contention) {
       // A blocked receiver may wake from this delivery and send as early
       // as `arrival`: feed that bound into the min-clock gate.
-      std::lock_guard sched_lock(sched_.mx);
-      auto& entry = sched_.entries[static_cast<std::size_t>(dst_rank)];
+      const auto sched_lock = lock_unless_fibers(sched_.mx);
+      const auto& entry = sched_.gate.entry(dst_rank);
       if (entry.st == Sched::St::blocked) {
         sched_update_locked(dst_rank, Sched::St::pending, arrival);
       } else if (entry.st == Sched::St::pending && arrival < entry.clock) {
@@ -204,11 +205,12 @@ void Engine::deliver(InFlight msg) {
       }
     }
   }
-  deliveries_.fetch_add(1, std::memory_order_relaxed);
-  if (fiber_ != nullptr)
+  if (fiber_ != nullptr) {
     fiber_->wake(dst_rank);
-  else
-    dst.cv.notify_all();
+    return;
+  }
+  deliveries_.fetch_add(1, std::memory_order_relaxed);  // watchdog progress
+  dst.cv.notify_all();
 }
 
 void Engine::record_error(std::exception_ptr err) {
@@ -341,7 +343,7 @@ double Engine::effective_watchdog_s() const {
 }
 
 void Engine::set_pending(int rank, const PendingOp& op) {
-  std::lock_guard lock(pending_mutex_);
+  const auto lock = lock_unless_fibers(pending_mutex_);
   auto& cur = pending_[static_cast<std::size_t>(rank)];
   // A crash entry is terminal: the epilogue's "exited" note must not hide
   // the crash in the report.
@@ -411,20 +413,8 @@ std::string Engine::deadlock_report(int reporter) const {
 }
 
 void Engine::sched_update_locked(int rank, Sched::St st, double clock) {
-  auto& entry = sched_.entries[static_cast<std::size_t>(rank)];
-  entry.st = st;
-  entry.clock = clock;
-  int best = -1;
-  for (int r = 0; r < world_size(); ++r) {
-    const auto& e = sched_.entries[static_cast<std::size_t>(r)];
-    if (e.st == Sched::St::blocked || e.st == Sched::St::done) continue;
-    if (best < 0 ||
-        e.clock < sched_.entries[static_cast<std::size_t>(best)].clock)
-      best = r;
-  }
-  sched_.min_rank = best;
-  if (best >= 0 &&
-      sched_.entries[static_cast<std::size_t>(best)].st == Sched::St::gate) {
+  const int best = sched_.gate.update(rank, st, clock);
+  if (best >= 0 && sched_.gate.entry(best).st == Sched::St::gate) {
     if (fiber_ != nullptr)
       fiber_->wake(best);
     else
@@ -487,13 +477,12 @@ void Engine::run(const std::function<void(Ctx&)>& rank_main) {
   ++run_count_;
   {
     std::lock_guard lock(sched_.mx);
-    sched_.entries.assign(static_cast<std::size_t>(n), Sched::Entry{});
+    sched_.gate.reset(n);
     if (sched_.cvs.size() != static_cast<std::size_t>(n)) {
       sched_.cvs.clear();
       for (int r = 0; r < n; ++r)
         sched_.cvs.push_back(std::make_unique<std::condition_variable>());
     }
-    sched_.min_rank = 0;
   }
   link_busy_.assign(static_cast<std::size_t>(fabric().num_links()), 0.0);
   run_ctx_.assign(static_cast<std::size_t>(n), nullptr);
@@ -549,7 +538,7 @@ void Engine::rank_body(int r, const std::function<void(Ctx&)>& rank_main) {
     for (const Attached& a : observers_)
       a.obs->on_epoch(r, ctx.now(), /*final_flush=*/true);
   if (cfg_.nic_contention) {
-    std::lock_guard lock(sched_.mx);
+    const auto lock = lock_unless_fibers(sched_.mx);
     sched_update_locked(r, Sched::St::done, ctx.now());
   }
   run_ctx_[static_cast<std::size_t>(r)] = nullptr;
@@ -636,9 +625,8 @@ void Ctx::compute_flops(double flops) {
   advance(flops * engine_->cfg_.flop_time_s);
 }
 
-void Ctx::fault_check() {
+void Ctx::apply_fault_plan() {
   fault::FaultPlan* plan = engine_->cfg_.fault_plan.get();
-  if (plan == nullptr) return;
   double stall_virtual = 0.0;
   double stall_wall = 0.0;
   if (plan->take_stall(world_rank_, clock_, &stall_virtual, &stall_wall)) {
@@ -791,10 +779,14 @@ void Ctx::send_bytes(int dst_world, const Comm& comm, int tag, CommKind kind,
   if (hub.enabled()) {
     const telemetry::StdIds& ids = hub.ids();
     telemetry::Registry& reg = hub.registry();
-    reg.add(ids.engine_messages, world_rank_);
-    reg.add(ids.engine_bytes, world_rank_, bytes);
-    reg.observe(ids.engine_msg_bytes, world_rank_,
-                static_cast<double>(bytes));
+    // The engine metrics count application traffic (p2p/coll/osc), like
+    // the observers: the monitoring library's own gathers stay invisible.
+    if (kind != CommKind::tool) {
+      reg.add(ids.engine_messages, world_rank_);
+      reg.add(ids.engine_bytes, world_rank_, bytes);
+      reg.observe(ids.engine_msg_bytes, world_rank_,
+                  static_cast<double>(bytes));
+    }
     if (have_faults) {
       const auto extra = static_cast<std::uint64_t>(faults.attempts - 1);
       if (extra > 0) {
@@ -821,9 +813,10 @@ void Ctx::send_bytes(int dst_world, const Comm& comm, int tag, CommKind kind,
   // Hockney with a busy sender: the sender pays the serialization time
   // bytes/beta (it cannot inject two messages at once), the wire adds the
   // latency alpha on top.
-  double tx = cost.serialization_time(leaf_src, leaf_dst, bytes);
-  double alpha = cost.latency(leaf_src, leaf_dst);
-  const bool crosses = cost.crosses_network(leaf_src, leaf_dst);
+  const PeerCost& peer = peer_cost(leaf_src, leaf_dst);
+  double tx = static_cast<double>(bytes) / peer.path.beta_bytes_s;
+  double alpha = peer.path.alpha_s;
+  const bool crosses = peer.crosses;
 
   bool lost = false;
   if (have_faults) {
@@ -856,7 +849,7 @@ void Ctx::send_bytes(int dst_world, const Comm& comm, int tag, CommKind kind,
   double tx_start = clock_;
   double arrival;
   if (engine_->cfg_.nic_contention && crosses) {
-    arrival = contended_transfer(leaf_src, leaf_dst, tx, alpha, &tx_start);
+    arrival = contended_transfer(route_plan_to(leaf_src, alpha), tx, &tx_start);
   } else {
     arrival = clock_ + tx + alpha;
   }
@@ -864,10 +857,7 @@ void Ctx::send_bytes(int dst_world, const Comm& comm, int tag, CommKind kind,
   Engine::InFlight msg;
   msg.info = info;
   msg.arrival_s = arrival;
-  if (buf != nullptr && bytes > 0) {
-    msg.payload = std::make_unique<std::byte[]>(bytes);
-    std::memcpy(msg.payload.get(), buf, bytes);
-  }
+  if (buf != nullptr && bytes > 0) msg.set_payload(buf, bytes);
 
   if (engine_->cfg_.enable_nic_counters && crosses) {
     engine_->nic_.record_tx(engine_->fabric().node_of(leaf_src), tx_start,
@@ -911,11 +901,14 @@ void Ctx::rma_transfer(int from_world, int to_world, const Comm& comm,
   const int leaf_to = placement[static_cast<std::size_t>(to_world)];
   const net::CostModel& cost = engine_->cfg_.cost_model;
   const bool crosses = cost.crosses_network(leaf_from, leaf_to);
-  const double tx = cost.serialization_time(leaf_from, leaf_to, bytes);
-  const double alpha = cost.latency(leaf_from, leaf_to);
+  const net::LinkParams path = cost.path(leaf_from, leaf_to);
+  const double tx = static_cast<double>(bytes) / path.beta_bytes_s;
+  const double alpha = path.alpha_s;
   double tx_start = clock_;
   if (engine_->cfg_.nic_contention && crosses) {
-    clock_ = contended_transfer(leaf_from, leaf_to, tx, alpha, &tx_start);
+    net::RoutePlan plan;
+    cost.route_plan(leaf_from, leaf_to, alpha, &plan);
+    clock_ = contended_transfer(plan, tx, &tx_start);
   } else {
     clock_ += tx + alpha;
   }
@@ -926,14 +919,35 @@ void Ctx::rma_transfer(int from_world, int to_world, const Comm& comm,
   epoch_check();
 }
 
-double Ctx::contended_transfer(int leaf_src, int leaf_dst, double tx_s,
-                               double alpha_s, double* tx_start) {
+const Ctx::PeerCost& Ctx::peer_cost(int leaf_src, int leaf_dst) {
+  if (peer_.leaf != leaf_dst) {
+    const net::CostModel& cost = engine_->cfg_.cost_model;
+    peer_.leaf = leaf_dst;
+    peer_.path = cost.path(leaf_src, leaf_dst);
+    peer_.crosses = cost.crosses_network(leaf_src, leaf_dst);
+    peer_.have_plan = false;
+  }
+  return peer_;
+}
+
+const net::RoutePlan& Ctx::route_plan_to(int leaf_src, double alpha_s) {
+  if (!peer_.have_plan || peer_.plan_alpha_s != alpha_s) {
+    engine_->cfg_.cost_model.route_plan(leaf_src, peer_.leaf, alpha_s,
+                                        &peer_.plan);
+    peer_.have_plan = true;
+    peer_.plan_alpha_s = alpha_s;
+  }
+  return peer_.plan;
+}
+
+double Ctx::contended_transfer(const net::RoutePlan& plan, double tx_s,
+                               double* tx_start) {
   using namespace std::chrono_literals;
   Engine::Sched& sched = engine_->sched_;
   const int me = world_rank_;
-  std::unique_lock lock(sched.mx);
+  auto lock = engine_->lock_unless_fibers(sched.mx);
   engine_->sched_update_locked(me, Engine::Sched::St::gate, clock_);
-  while (sched.min_rank != me) {
+  while (sched.gate.min_rank() != me) {
     if (engine_->abort_.load()) {
       engine_->sched_update_locked(me, Engine::Sched::St::done, clock_);
       throw AbortError();
@@ -941,10 +955,8 @@ double Ctx::contended_transfer(int leaf_src, int leaf_dst, double tx_s,
     if (engine_->fiber_ != nullptr) {
       // Gate yield: sched_update_locked wakes exactly the new min-clock
       // rank, so we resume only when we hold (or may hold) the gate and
-      // re-check under the lock.
-      lock.unlock();
+      // re-check.
       engine_->fiber_->block(clock_);
-      lock.lock();
       continue;
     }
     sched.cvs[static_cast<std::size_t>(me)]->wait_for(lock, 200ms);
@@ -958,8 +970,6 @@ double Ctx::contended_transfer(int leaf_src, int leaf_dst, double tx_s,
   // latency as the single gap -- the historical two-port reservation,
   // bit for bit. Links drain at their wire rate, which may exceed one
   // flow's end-to-end rate (drain_frac, EngineConfig::nic_port_beta_scale).
-  net::RoutePlan plan;
-  engine_->cfg_.cost_model.route_plan(leaf_src, leaf_dst, alpha_s, &plan);
   const double port_scale = std::max(1.0, engine_->cfg_.nic_port_beta_scale);
   double stage = std::max(clock_, engine_->link_busy_[static_cast<std::size_t>(
                                       plan.links[0])]);
@@ -1004,14 +1014,14 @@ bool Ctx::match_and_complete(int src_world, const Comm& comm, int tag,
       continue;
     check(it->info.bytes <= capacity || buf == nullptr,
           "receive buffer too small (message truncated)");
-    if (buf != nullptr && it->payload != nullptr)
-      std::memcpy(buf, it->payload.get(),
-                  std::min(capacity, it->info.bytes));
+    if (buf != nullptr && it->has_payload)
+      std::memcpy(buf, it->payload(), std::min(capacity, it->info.bytes));
     const double completion =
         std::max(clock_, it->arrival_s) + engine_->cfg_.recv_overhead_s;
     // Observed before the clock assignment so observers see the
-    // pre-completion clock (the wait baseline). Runs under the rank mutex:
-    // observers must be lock-free and never charge virtual time.
+    // pre-completion clock (the wait baseline). Runs under the rank mutex
+    // on the thread backend: observers must be lock-free and never charge
+    // virtual time.
     if (it->info.kind != CommKind::tool && engine_->packets_armed())
       engine_->for_armed([&](Observer& o) {
         o.on_recv(world_rank_, it->info, clock_, it->arrival_s, completion);
@@ -1020,7 +1030,7 @@ bool Ctx::match_and_complete(int src_world, const Comm& comm, int tag,
     if (status != nullptr)
       *status = Status{it->info.src_world, it->info.tag, it->info.bytes};
     telemetry::Hub& hub = engine_->hub_;
-    if (hub.enabled()) {
+    if (it->info.kind != CommKind::tool && hub.enabled()) {
       const telemetry::StdIds& ids = hub.ids();
       hub.registry().observe(ids.engine_match_s, world_rank_,
                              completion - it->arrival_s);
@@ -1036,13 +1046,16 @@ bool Ctx::match_and_complete(int src_world, const Comm& comm, int tag,
 namespace {
 
 /// Keeps Engine::blocked_ balanced on every exit path, including typed
-/// failures thrown out of the wait predicate.
+/// failures thrown out of the wait predicate. Null on the fiber backend,
+/// whose scheduler detects deadlock without the thread-mode watchdog.
 struct BlockedGuard {
-  std::atomic<int>& counter;
-  explicit BlockedGuard(std::atomic<int>& c) : counter(c) {
-    counter.fetch_add(1);
+  std::atomic<int>* counter;
+  explicit BlockedGuard(std::atomic<int>* c) : counter(c) {
+    if (counter != nullptr) counter->fetch_add(1);
   }
-  ~BlockedGuard() { counter.fetch_sub(1); }
+  ~BlockedGuard() {
+    if (counter != nullptr) counter->fetch_sub(1);
+  }
 };
 
 }  // namespace
@@ -1051,7 +1064,8 @@ template <typename Pred>
 void Ctx::wait_on_inbox(std::unique_lock<std::mutex>& lock, Pred&& ready) {
   using namespace std::chrono_literals;
   auto& st = engine_->rank_state(world_rank_);
-  BlockedGuard blocked_guard(engine_->blocked_);
+  BlockedGuard blocked_guard(engine_->fiber_ != nullptr ? nullptr
+                                                       : &engine_->blocked_);
   // Blocked ranks cannot issue sends; exclude us from the min-clock gate
   // so earlier senders are not stalled (we will resume with a clock at
   // least as large as the send that wakes us). The guard re-registers us
@@ -1060,15 +1074,17 @@ void Ctx::wait_on_inbox(std::unique_lock<std::mutex>& lock, Pred&& ready) {
     Ctx* ctx;
     explicit SchedBlockGuard(Ctx* c) : ctx(c) {
       if (!enabled()) return;
-      std::lock_guard sched_lock(ctx->engine_->sched_.mx);
-      ctx->engine_->sched_update_locked(
-          ctx->world_rank_, Engine::Sched::St::blocked, ctx->clock_);
+      Engine& e = *ctx->engine_;
+      const auto sched_lock = e.lock_unless_fibers(e.sched_.mx);
+      e.sched_update_locked(ctx->world_rank_, Engine::Sched::St::blocked,
+                            ctx->clock_);
     }
     ~SchedBlockGuard() {
       if (!enabled()) return;
-      std::lock_guard sched_lock(ctx->engine_->sched_.mx);
-      ctx->engine_->sched_update_locked(
-          ctx->world_rank_, Engine::Sched::St::running, ctx->clock_);
+      Engine& e = *ctx->engine_;
+      const auto sched_lock = e.lock_unless_fibers(e.sched_.mx);
+      e.sched_update_locked(ctx->world_rank_, Engine::Sched::St::running,
+                            ctx->clock_);
     }
     bool enabled() const { return ctx->engine_->cfg_.nic_contention; }
   } sched_guard(this);
@@ -1078,24 +1094,22 @@ void Ctx::wait_on_inbox(std::unique_lock<std::mutex>& lock, Pred&& ready) {
     if (engine_->cfg_.nic_contention) {
       // Nothing in the inbox matches: any `pending` bound a delivery set
       // can be dropped, we will not wake from it. (Serialized against
-      // deliver() by the rank mutex held here.)
-      std::lock_guard sched_lock(engine_->sched_.mx);
-      auto& entry =
-          engine_->sched_.entries[static_cast<std::size_t>(world_rank_)];
-      if (entry.st == Engine::Sched::St::pending)
+      // deliver() by the rank mutex held here, or on fibers by the one
+      // thread that runs every rank.)
+      const auto sched_lock = engine_->lock_unless_fibers(engine_->sched_.mx);
+      if (engine_->sched_.gate.entry(world_rank_).st ==
+          Engine::Sched::St::pending)
         engine_->sched_update_locked(world_rank_, Engine::Sched::St::blocked,
                                      clock_);
     }
     if (engine_->abort_.load()) throw AbortError();
     if (engine_->fiber_ != nullptr) {
-      // Cooperative yield: the predicate just failed under the rank mutex,
-      // and nothing else can run until block() switches to the scheduler,
-      // so no wakeup can be lost between the check and the switch. The
-      // wall-clock watchdog below is unnecessary here -- a true deadlock
-      // empties the scheduler's ready queue and is reported instantly.
-      lock.unlock();
+      // Cooperative yield: the predicate just failed, and nothing else can
+      // run until block() switches to the scheduler, so no wakeup can be
+      // lost between the check and the switch. The wall-clock watchdog
+      // below is unnecessary here -- a true deadlock empties the
+      // scheduler's ready queue and is reported instantly.
       engine_->fiber_->block(clock_);
-      lock.lock();
       continue;
     }
     if (st.cv.wait_for(lock, 200ms) == std::cv_status::timeout) {
@@ -1141,10 +1155,10 @@ Status Ctx::recv_bytes(int src_world, const Comm& comm, int tag, CommKind kind,
   fault_check();
   auto& st = engine_->rank_state(world_rank_);
   Status status;
-  std::unique_lock lock(st.mutex);
+  auto lock = engine_->lock_unless_fibers(st.mutex);
   if (match_and_complete(src_world, comm, tag, kind, buf, capacity, &status,
                          true)) {
-    lock.unlock();
+    if (lock.owns_lock()) lock.unlock();
     fault_check();
     epoch_check();
     return status;
@@ -1166,7 +1180,7 @@ Status Ctx::recv_bytes(int src_world, const Comm& comm, int tag, CommKind kind,
       raise_revoked(comm, "recv");
     return done;
   });
-  lock.unlock();
+  if (lock.owns_lock()) lock.unlock();
   fault_check();
   epoch_check();
   return status;
@@ -1182,7 +1196,7 @@ Ctx::RecvWait Ctx::recv_bytes_wait(int src_world, const Comm& comm, int tag,
   check(wall_timeout_s >= 0.0, "negative receive timeout");
   fault_check();
   auto& st = engine_->rank_state(world_rank_);
-  std::unique_lock lock(st.mutex);
+  auto lock = engine_->lock_unless_fibers(st.mutex);
   if (match_and_complete(src_world, comm, tag, kind, buf, capacity, status,
                          true))
     return RecvWait::ok;
@@ -1214,9 +1228,7 @@ Ctx::RecvWait Ctx::recv_bytes_wait(int src_world, const Comm& comm, int tag,
       // Timed cooperative yield: a delivery, crash, revoke or abort wakes
       // us via FiberSched::wake; otherwise the scheduler hands the core
       // back once the wall deadline passes and we report the timeout.
-      lock.unlock();
       engine_->fiber_->block_until(clock_, deadline);
-      lock.lock();
       continue;
     }
     st.cv.wait_until(lock, std::min(deadline, now + 200ms));
@@ -1230,7 +1242,7 @@ bool Ctx::try_recv_bytes(int src_world, const Comm& comm, int tag,
   if (engine_->abort_.load(std::memory_order_relaxed)) throw AbortError();
   fault_check();
   auto& st = engine_->rank_state(world_rank_);
-  std::unique_lock lock(st.mutex);
+  const auto lock = engine_->lock_unless_fibers(st.mutex);
   return match_and_complete(src_world, comm, tag, kind, buf, capacity, status,
                             true);
 }
@@ -1240,7 +1252,7 @@ bool Ctx::iprobe_bytes(int src_world, const Comm& comm, int tag, CommKind kind,
   check(!comm.is_null(), "probe on null communicator");
   if (engine_->abort_.load(std::memory_order_relaxed)) throw AbortError();
   auto& st = engine_->rank_state(world_rank_);
-  std::unique_lock lock(st.mutex);
+  const auto lock = engine_->lock_unless_fibers(st.mutex);
   for (const auto& msg : st.inbox) {
     if (pkt_matches(msg.info, src_world, comm.context_id(), tag, kind)) {
       if (status != nullptr)

@@ -24,7 +24,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <cstring>
 #include <exception>
 #include <functional>
 #include <limits>
@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "minimpi/comm.h"
+#include "minimpi/min_clock.h"
 #include "minimpi/types.h"
 #include "netmodel/cost_model.h"
 #include "netmodel/nic_counters.h"
@@ -113,7 +114,8 @@ class Observer {
                             double /*t0*/, double /*tx_start*/,
                             double /*arrival*/, double /*t1*/) {}
   /// At receive completion, on the receiver's thread while its inbox mutex
-  /// is held: must be lock-free with respect to clock-advancing paths.
+  /// is held (thread backend): must be lock-free with respect to
+  /// clock-advancing paths.
   /// `pre` is the receiver's clock when it matched, `arrival` the packet
   /// arrival time, `t1` the completion clock (max(pre, arrival) +
   /// recv_overhead).
@@ -375,15 +377,70 @@ class Engine {
   friend class Ctx;
 
   struct InFlight {
+    /// Payloads up to this size travel inside the message: scalar
+    /// reductions and comm_split's 12-byte blocks skip the heap.
+    static constexpr std::size_t kInlineBytes = 16;
     PktInfo info;
     double arrival_s = 0.0;
-    std::unique_ptr<std::byte[]> payload;  ///< null for timing-only messages
+    std::unique_ptr<std::byte[]> heap;  ///< payloads over kInlineBytes
+    bool has_payload = false;           ///< false for timing-only messages
+    alignas(8) std::byte inline_bytes[kInlineBytes];
+
+    void set_payload(const void* buf, std::size_t bytes) {
+      std::byte* dst = inline_bytes;
+      if (bytes > kInlineBytes) {
+        heap = std::make_unique_for_overwrite<std::byte[]>(bytes);
+        dst = heap.get();
+      }
+      std::memcpy(dst, buf, bytes);
+      has_payload = true;
+    }
+    const std::byte* payload() const {
+      if (!has_payload) return nullptr;
+      return heap != nullptr ? heap.get() : inline_bytes;
+    }
+  };
+
+  /// A rank's arrival-ordered mailbox. Matching mostly takes the oldest
+  /// message, which only advances `head`, and the storage is reused once
+  /// it drains: a steady exchange allocates nothing per message.
+  class Inbox {
+   public:
+    using iterator = std::vector<InFlight>::iterator;
+    std::size_t size() const { return msgs_.size() - head_; }
+    iterator begin() {
+      return msgs_.begin() + static_cast<std::ptrdiff_t>(head_);
+    }
+    iterator end() { return msgs_.end(); }
+    void push(InFlight&& msg) { msgs_.push_back(std::move(msg)); }
+    void erase(iterator it) {
+      if (it == begin()) {
+        it->heap.reset();
+        ++head_;
+      } else {
+        msgs_.erase(it);
+      }
+      if (head_ == msgs_.size()) {
+        clear();
+      } else if (head_ >= 64 && 2 * head_ >= msgs_.size()) {
+        msgs_.erase(msgs_.begin(), begin());  // never drains: compact
+        head_ = 0;
+      }
+    }
+    void clear() {
+      msgs_.clear();
+      head_ = 0;
+    }
+
+   private:
+    std::vector<InFlight> msgs_;
+    std::size_t head_ = 0;
   };
 
   struct RankState {
     std::mutex mutex;
     std::condition_variable cv;
-    std::deque<InFlight> inbox;
+    Inbox inbox;
     std::uint64_t inbox_version = 0;  ///< bumped on every push
   };
 
@@ -424,7 +481,15 @@ class Engine {
       if (a.obs->packets_armed_.load(std::memory_order_relaxed)) f(*a.obs);
   }
 
-  void deliver(InFlight msg);
+  /// Locks `m` on the thread backend only: a fiber run executes every
+  /// rank on one OS thread, so the per-message paths skip the engine's
+  /// mutexes there (the returned lock then owns nothing).
+  std::unique_lock<std::mutex> lock_unless_fibers(std::mutex& m) const {
+    if (fiber_ != nullptr) return {m, std::defer_lock};
+    return std::unique_lock<std::mutex>(m);
+  }
+
+  void deliver(InFlight&& msg);
   void record_error(std::exception_ptr err);
   void abort_all();
   /// Per-rank prologue/workload/epilogue shared by both backends: runs on
@@ -442,24 +507,14 @@ class Engine {
 
   // --- deterministic NIC-contention scheduler (cfg_.nic_contention) ------
   struct Sched {
-    // `pending` marks a blocked rank that already has an unexamined
-    // delivery: it may wake and send as early as that delivery's arrival,
-    // so it re-enters the min-clock computation with that bound until its
-    // thread either matches (-> running) or rejects the message
-    // (-> blocked again).
-    enum class St : std::uint8_t { running, gate, blocked, pending, done };
-    struct Entry {
-      double clock = 0.0;  ///< lower bound of the rank's next send time
-      St st = St::running;
-    };
+    using St = MinClockGate::St;
     std::mutex mx;
-    std::vector<Entry> entries;
+    MinClockGate gate;
     std::vector<std::unique_ptr<std::condition_variable>> cvs;
-    int min_rank = -1;  ///< arg-min (clock, rank) over running/gate entries
   };
 
-  /// Requires sched_.mx held: updates one entry, recomputes the min and
-  /// wakes the new minimum if it is waiting at the gate.
+  /// Requires sched_.mx held: updates one entry and wakes the new minimum
+  /// if it is waiting at the gate.
   void sched_update_locked(int rank, Sched::St st, double clock);
 
   Sched sched_;
@@ -630,7 +685,11 @@ class Ctx {
 
   /// Consults the fault plan at an operation boundary: applies one-shot
   /// stalls and terminates the rank (RankCrashExit) past its crash time.
-  void fault_check();
+  /// Without a plan, one pointer test.
+  void fault_check() {
+    if (engine_->cfg_.fault_plan != nullptr) apply_fault_plan();
+  }
+  void apply_fault_plan();
 
   /// Epoch gate: one double compare when the clock has not crossed the
   /// next epoch boundary (or no observer asks for epochs:
@@ -651,10 +710,28 @@ class Ctx {
   [[noreturn]] void raise_revoked(const Comm& comm, const char* op);
 
   /// NIC-contention path of an inter-node transfer: waits at the min-clock
-  /// gate, reserves the tx/rx ports and returns the arrival time (out
+  /// gate, reserves the links of `plan` and returns the arrival time (out
   /// param: actual transmission start >= current clock).
-  double contended_transfer(int leaf_src, int leaf_dst, double tx_s,
-                            double alpha_s, double* tx_start);
+  double contended_transfer(const net::RoutePlan& plan, double tx_s,
+                            double* tx_start);
+
+  /// What sending to one destination leaf costs, from this rank's leaf:
+  /// pure functions of the leaf pair (the route plan also of the path
+  /// latency), kept for the last destination only. It hits when a rank
+  /// sends to one leaf several times in a row, as in comm_split's ring
+  /// allgather; traffic that alternates between peers (a halo's four
+  /// neighbours) misses on nearly every send.
+  struct PeerCost {
+    int leaf = -1;
+    net::LinkParams path{};
+    bool crosses = false;
+    bool have_plan = false;
+    double plan_alpha_s = 0.0;  ///< path latency `plan` was built for
+    net::RoutePlan plan;
+  };
+  const PeerCost& peer_cost(int leaf_src, int leaf_dst);
+  /// The route plan to the destination of the last peer_cost() call.
+  const net::RoutePlan& route_plan_to(int leaf_src, double alpha_s);
 
   bool match_and_complete(int src_world, const Comm& comm, int tag,
                           CommKind kind, void* buf, std::size_t capacity,
@@ -667,6 +744,7 @@ class Ctx {
   /// observer asks for epochs (set up by Engine::run per rank thread).
   double next_epoch_s_ = std::numeric_limits<double>::infinity();
   Rng noise_rng_{0};
+  PeerCost peer_;
   /// Monotone per-sender packet counter backing PktInfo::send_seq. Host
   /// bookkeeping only: stamping it charges no virtual time.
   std::uint64_t send_seq_ = 0;

@@ -19,26 +19,36 @@ std::size_t round_to_line(std::size_t bytes) {
 }  // namespace
 
 Runtime::AccBlock::AccBlock(int group_size) : n(group_size) {
-  const auto slots = static_cast<std::size_t>(n);
-  static_assert(sizeof(std::atomic<unsigned long>) == sizeof(unsigned long));
-  const std::size_t own_bytes = round_to_line(2 * slots * sizeof(unsigned long));
-  const std::size_t foreign_bytes =
-      round_to_line(2 * slots * sizeof(std::atomic<unsigned long>));
-  raw_ = ::operator new(own_bytes + foreign_bytes, std::align_val_t{kCacheLine});
-  auto* base = static_cast<std::byte*>(raw_);
-  own_counts = reinterpret_cast<unsigned long*>(base);
-  own_sizes = own_counts + slots;
-  std::memset(base, 0, own_bytes);
-  auto* foreign = base + own_bytes;
-  foreign_counts = reinterpret_cast<std::atomic<unsigned long>*>(foreign);
-  foreign_sizes = foreign_counts + slots;
-  for (std::size_t i = 0; i < 2 * slots; ++i)
-    new (foreign_counts + i) std::atomic<unsigned long>(0ul);
+  const std::size_t own_bytes =
+      round_to_line(2 * static_cast<std::size_t>(n) * sizeof(unsigned long));
+  raw_ = ::operator new(own_bytes, std::align_val_t{kCacheLine});
+  std::memset(raw_, 0, own_bytes);
+  own_counts = static_cast<unsigned long*>(raw_);
+  own_sizes = own_counts + n;
 }
 
 Runtime::AccBlock::~AccBlock() {
-  // std::atomic<unsigned long> is trivially destructible.
   ::operator delete(raw_, std::align_val_t{kCacheLine});
+  // std::atomic<unsigned long> is trivially destructible.
+  if (auto* f = foreign_.load(std::memory_order_acquire))
+    ::operator delete(f, std::align_val_t{kCacheLine});
+}
+
+std::atomic<unsigned long>* Runtime::AccBlock::foreign_half() {
+  static_assert(sizeof(std::atomic<unsigned long>) == sizeof(unsigned long));
+  std::atomic<unsigned long>* f = foreign_.load(std::memory_order_acquire);
+  if (f != nullptr) return f;
+  const std::size_t slots = 2 * static_cast<std::size_t>(n);
+  auto* fresh = static_cast<std::atomic<unsigned long>*>(::operator new(
+      round_to_line(slots * sizeof(std::atomic<unsigned long>)),
+      std::align_val_t{kCacheLine}));
+  for (std::size_t i = 0; i < slots; ++i)
+    new (fresh + i) std::atomic<unsigned long>(0ul);
+  if (foreign_.compare_exchange_strong(f, fresh, std::memory_order_acq_rel,
+                                       std::memory_order_acquire))
+    return fresh;
+  ::operator delete(fresh, std::align_val_t{kCacheLine});  // lost the race
+  return f;
 }
 
 Runtime::Runtime(mpi::Engine& engine) : engine_(engine) {
@@ -88,8 +98,9 @@ int Runtime::on_send(const mpi::PktInfo& pkt, int caller_world) {
         e.own_counts[dst] += 1;
         e.own_sizes[dst] += bytes;
       } else {
-        e.foreign_counts[dst].fetch_add(1, std::memory_order_relaxed);
-        e.foreign_sizes[dst].fetch_add(bytes, std::memory_order_relaxed);
+        std::atomic<unsigned long>* foreign = e.acc->foreign_half();
+        foreign[dst].fetch_add(1, std::memory_order_relaxed);
+        foreign[e.acc->n + dst].fetch_add(bytes, std::memory_order_relaxed);
       }
       recorded += e.weight;
     }
@@ -125,7 +136,7 @@ void Runtime::rebuild_plan(RankState& rs) {
       } else {
         bucket.push_back({h.comm.world_to_group_table().data(),
                           h.acc->own_counts, h.acc->own_sizes,
-                          h.acc->foreign_counts, h.acc->foreign_sizes, 1});
+                          h.acc.get(), 1});
         plan->acc_refs.push_back(h.acc);
         plan->comm_refs.push_back(h.comm);
         empty = false;
@@ -272,8 +283,7 @@ void Runtime::handle_start(int session, int handle) {
   h.started = true;
   if (h.telemetry_metric >= 0) return;  // never in a plan
   // Bias out the accumulator level so only traffic from now on is visible.
-  for (std::size_t d = 0; d < h.values.size(); ++d)
-    h.values[d] -= h.acc->read(h.is_size, static_cast<int>(d));
+  h.acc->fold_into(h.is_size, /*subtract=*/true, h.values.data());
   rebuild_plan(rs);
 }
 
@@ -286,8 +296,7 @@ void Runtime::handle_stop(int session, int handle) {
   if (h.telemetry_metric >= 0) return;
   // Freeze the started window into the bias; the value no longer follows
   // the shared accumulator.
-  for (std::size_t d = 0; d < h.values.size(); ++d)
-    h.values[d] += h.acc->read(h.is_size, static_cast<int>(d));
+  h.acc->fold_into(h.is_size, /*subtract=*/false, h.values.data());
   rebuild_plan(rs);
 }
 

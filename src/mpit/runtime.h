@@ -102,12 +102,14 @@ class Runtime final : public mpi::Observer {
  private:
   /// Shared accumulation storage for every handle binding one
   /// (communicator, traffic class) pair of one rank: `group_size` message
-  /// counters and as many byte counters, carved out of a single
-  /// cache-line-aligned allocation so no two ranks' slots share a line.
-  /// The `own_*` half is written only by the owning rank's thread (plain
-  /// stores); the `foreign_*` half takes relaxed fetch_adds from peer
-  /// threads recording RMA traffic attributed to this rank. A slot's
-  /// logical value is the sum of both halves.
+  /// counters and as many byte counters. The `own_*` half is one
+  /// cache-line-aligned allocation (no two ranks' slots share a line),
+  /// written only by the owning rank's thread (plain stores). The foreign
+  /// half is a second aligned allocation that takes relaxed fetch_adds
+  /// from peer threads recording RMA traffic attributed to this rank; the
+  /// first of them allocates it and publishes it by CAS, so runs without
+  /// such traffic never pay for it. A slot's logical value is the sum of
+  /// both halves.
   struct AccBlock {
     explicit AccBlock(int group_size);
     ~AccBlock();
@@ -116,18 +118,35 @@ class Runtime final : public mpi::Observer {
 
     unsigned long read(bool is_size, int slot) const {
       const unsigned long own = is_size ? own_sizes[slot] : own_counts[slot];
-      const auto& foreign = is_size ? foreign_sizes[slot] : foreign_counts[slot];
-      return own + foreign.load(std::memory_order_relaxed);
+      const std::atomic<unsigned long>* f =
+          foreign_.load(std::memory_order_acquire);
+      if (f == nullptr) return own;
+      return own + f[(is_size ? n : 0) + slot].load(std::memory_order_relaxed);
     }
+    /// values[d] += read(is_size, d) for every slot (-= when `subtract`),
+    /// with the metric choice hoisted out of the loop.
+    void fold_into(bool is_size, bool subtract, unsigned long* values) const {
+      const unsigned long* own = is_size ? own_sizes : own_counts;
+      const std::atomic<unsigned long>* f =
+          foreign_.load(std::memory_order_acquire);
+      if (f != nullptr) f += is_size ? n : 0;
+      for (int d = 0; d < n; ++d) {
+        const unsigned long v =
+            own[d] + (f != nullptr ? f[d].load(std::memory_order_relaxed) : 0);
+        values[d] = subtract ? values[d] - v : values[d] + v;
+      }
+    }
+    /// The foreign half, counts at [0, n) and sizes at [n, 2n); zeroed and
+    /// published by the first caller.
+    std::atomic<unsigned long>* foreign_half();
 
     int n = 0;
     unsigned long* own_counts = nullptr;
     unsigned long* own_sizes = nullptr;
-    std::atomic<unsigned long>* foreign_counts = nullptr;
-    std::atomic<unsigned long>* foreign_sizes = nullptr;
 
    private:
     void* raw_ = nullptr;
+    std::atomic<std::atomic<unsigned long>*> foreign_{nullptr};
   };
 
   /// An attached packet observer. The slot (not the Runtime) carries the
@@ -148,8 +167,7 @@ class Runtime final : public mpi::Observer {
       const int* world_to_group;  ///< dense, world-sized, -1 = non-member
       unsigned long* own_counts;
       unsigned long* own_sizes;
-      std::atomic<unsigned long>* foreign_counts;
-      std::atomic<unsigned long>* foreign_sizes;
+      AccBlock* acc;  ///< for the foreign half
       /// Started handles fused into this entry: the per-packet record
       /// count (and thus the engine's monitoring-overhead charge) is
       /// identical to scanning those handles one by one.

@@ -97,36 +97,32 @@ const LinkParams& CostModel::params_at_depth(int d) const {
 
 double CostModel::transfer_time(int leaf_a, int leaf_b,
                                 std::size_t bytes) const {
-  return latency(leaf_a, leaf_b) + serialization_time(leaf_a, leaf_b, bytes);
+  const LinkParams p = path(leaf_a, leaf_b);
+  return p.alpha_s + static_cast<double>(bytes) / p.beta_bytes_s;
 }
 
 double CostModel::latency(int leaf_a, int leaf_b) const {
-  const int cls = fabric_->pair_class(leaf_a, leaf_b);
-  if (cls >= 0) return params_[static_cast<std::size_t>(cls)].alpha_s;
-  topo::Fabric::Route r;
-  fabric_->route(leaf_a, leaf_b, &r);
-  double alpha = 0.0;
-  for (int i = 0; i < r.n; ++i)
-    alpha += params_[static_cast<std::size_t>(fabric_->link_class(r.links[i]))]
-                 .alpha_s;
-  return alpha;
+  return path(leaf_a, leaf_b).alpha_s;
 }
 
 double CostModel::serialization_time(int leaf_a, int leaf_b,
                                      std::size_t bytes) const {
+  return static_cast<double>(bytes) / path(leaf_a, leaf_b).beta_bytes_s;
+}
+
+LinkParams CostModel::path(int leaf_a, int leaf_b) const {
   const int cls = fabric_->pair_class(leaf_a, leaf_b);
-  if (cls >= 0)
-    return static_cast<double>(bytes) /
-           params_[static_cast<std::size_t>(cls)].beta_bytes_s;
+  if (cls >= 0) return params_[static_cast<std::size_t>(cls)];
   topo::Fabric::Route r;
   fabric_->route(leaf_a, leaf_b, &r);
-  double beta = std::numeric_limits<double>::infinity();
-  for (int i = 0; i < r.n; ++i)
-    beta = std::min(
-        beta,
-        params_[static_cast<std::size_t>(fabric_->link_class(r.links[i]))]
-            .beta_bytes_s);
-  return static_cast<double>(bytes) / beta;
+  LinkParams p{0.0, std::numeric_limits<double>::infinity()};
+  for (int i = 0; i < r.n; ++i) {
+    const LinkParams& hop =
+        params_[static_cast<std::size_t>(fabric_->link_class(r.links[i]))];
+    p.alpha_s += hop.alpha_s;
+    p.beta_bytes_s = std::min(p.beta_bytes_s, hop.beta_bytes_s);
+  }
+  return p;
 }
 
 void CostModel::route_plan(int leaf_src, int leaf_dst, double alpha_total_s,

@@ -101,6 +101,11 @@ class CostModel {
   /// broadcast would pipeline for free and beat every tree algorithm.
   double serialization_time(int leaf_a, int leaf_b, std::size_t bytes) const;
 
+  /// Both of the above from one class lookup or one route: the path's
+  /// latency() and its bottleneck bandwidth, so serialization_time is
+  /// bytes / beta_bytes_s.
+  LinkParams path(int leaf_a, int leaf_b) const;
+
   /// Time the *sender* stays busy per message (LogP "o"): after this it may
   /// issue the next send while the message is in flight.
   double send_overhead() const { return send_overhead_s_; }

@@ -6,9 +6,11 @@
 // reorder hook.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -150,6 +152,75 @@ TEST(Sampler, FrameCallbackSeesBoundariesAndClearResets) {
   ASSERT_EQ(s.frames().size(), 1u);
   EXPECT_EQ(s.frames()[0].window, 10);
   EXPECT_FALSE(s.frames()[0].boundary);
+}
+
+// A window close walks only the peers recorded in the window and compares
+// sparse rows. Seeded random windows (empty ones, zero-byte messages,
+// repeated peers, every traffic class) must give exactly the cells and the
+// boundaries that the analyzer's dense distance functions give over
+// npeers-wide rows.
+TEST(Sampler, SparseCloseMatchesTheDenseDistances) {
+  std::mt19937 rng(2024);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int npeers = 1 + static_cast<int>(rng() % 64);
+    const int nwin = 2 + static_cast<int>(rng() % 30);
+    introspect::WindowSampler sampler(npeers, 1.0, 1000);
+    // Expected per-window dense cells: [window][kind][peer].
+    using Dense = std::vector<unsigned long>;
+    std::vector<std::array<Dense, introspect::kNumKinds>> counts(nwin);
+    std::vector<std::array<Dense, introspect::kNumKinds>> bytes(nwin);
+    for (int w = 0; w < nwin; ++w) {
+      for (int k = 0; k < introspect::kNumKinds; ++k) {
+        counts[w][k].assign(npeers, 0);
+        bytes[w][k].assign(npeers, 0);
+      }
+      // The first and last windows carry traffic; a third of the others
+      // stay silent.
+      const bool silent = w > 0 && w + 1 < nwin && rng() % 3 == 0;
+      const int nrec = silent ? 0 : 1 + static_cast<int>(rng() % 12);
+      for (int i = 0; i < nrec; ++i) {
+        const int peer = static_cast<int>(rng() % npeers);
+        const int kind = static_cast<int>(rng() % introspect::kNumKinds);
+        const unsigned long b = rng() % 4 == 0 ? 0 : rng() % 5000;
+        sampler.record(w + 0.5 * i / nrec, peer, kind, b);
+        counts[w][kind][peer] += 1;
+        bytes[w][kind][peer] += b;
+      }
+    }
+    sampler.flush(nwin - 0.25);
+    const auto& frames = sampler.frames();
+    ASSERT_EQ(frames.size(), static_cast<std::size_t>(nwin)) << trial;
+    Dense prev;
+    for (int w = 0; w < nwin; ++w) {
+      const introspect::Frame& f = frames[static_cast<std::size_t>(w)];
+      Dense row(npeers, 0);
+      std::size_t cell = 0;
+      for (int p = 0; p < npeers; ++p) {
+        unsigned long c = 0;
+        for (int k = 0; k < introspect::kNumKinds; ++k) {
+          c += counts[w][k][p];
+          row[p] += bytes[w][k][p];
+        }
+        if (c == 0) continue;
+        ASSERT_LT(cell, f.cells.size()) << trial << " window " << w;
+        const introspect::FrameCell& got = f.cells[cell++];
+        EXPECT_EQ(got.peer, p);
+        for (int k = 0; k < introspect::kNumKinds; ++k) {
+          EXPECT_EQ(got.counts[k], counts[w][k][p]);
+          EXPECT_EQ(got.bytes[k], bytes[w][k][p]);
+        }
+      }
+      EXPECT_EQ(cell, f.cells.size()) << trial << " window " << w;
+      bool boundary = false;
+      if (w > 0)
+        boundary = introspect::cosine_distance(prev, row) >
+                       introspect::WindowSampler::kCosineBoundary ||
+                   introspect::l1_distance(prev, row) >
+                       introspect::WindowSampler::kL1Boundary;
+      EXPECT_EQ(f.boundary, boundary) << trial << " window " << w;
+      prev = row;
+    }
+  }
 }
 
 TEST(Sampler, RejectsOutOfRangeRecordsAndBadConfig) {

@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <functional>
 #include <memory>
+#include <random>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "minimpi/api.h"
 #include "minimpi/engine.h"
 #include "minimpi/ft.h"
+#include "minimpi/min_clock.h"
 #include "mpimon/mpi_monitoring.h"
 #include "mpit/runtime.h"
 
@@ -85,6 +87,52 @@ void mixed_workload(Ctx& ctx) {
   bcast(&root_val, 1, Type::Int, 0, world);
   EXPECT_EQ(root_val, 42);
   barrier(world);
+}
+
+// --- the min-clock gate's tournament tree -----------------------------------
+
+// The min-clock gate's tournament tree against the rescan it replaced:
+// seeded random updates (few distinct clocks, so ties are common; every
+// state, including blocked and done) must leave the same arg-min as a scan
+// in rank order that keeps the first strict minimum.
+TEST(SchedGate, TreeMinMatchesALinearScan) {
+  using St = MinClockGate::St;
+  const St kStates[] = {St::running, St::gate, St::blocked, St::pending,
+                        St::done};
+  for (const int np : {1, 2, 3, 1000, 4097}) {
+    std::mt19937 rng(static_cast<unsigned>(np));
+    MinClockGate gate;
+    gate.reset(np);
+    std::vector<MinClockGate::Entry> ref(static_cast<std::size_t>(np));
+    auto scan = [&] {
+      int best = -1;
+      for (int r = 0; r < np; ++r) {
+        const auto& e = ref[static_cast<std::size_t>(r)];
+        if (e.st == St::blocked || e.st == St::done) continue;
+        if (best < 0 || e.clock < ref[static_cast<std::size_t>(best)].clock)
+          best = r;
+      }
+      return best;
+    };
+    ASSERT_EQ(gate.min_rank(), scan()) << "np=" << np << " after reset";
+    std::uniform_int_distribution<int> pick_rank(0, np - 1);
+    std::uniform_int_distribution<int> pick_state(0, 4);
+    std::uniform_int_distribution<int> pick_clock(0, 7);
+    for (int step = 0; step < 20000; ++step) {
+      const int r = pick_rank(rng);
+      const St st = kStates[pick_state(rng)];
+      const double clock = 0.25 * pick_clock(rng);
+      ref[static_cast<std::size_t>(r)] = {clock, st};
+      const int got = gate.update(r, st, clock);
+      const int want = scan();
+      ASSERT_EQ(got, want) << "np=" << np << " step " << step;
+      ASSERT_EQ(gate.min_rank(), want);
+      ASSERT_EQ(gate.entry(r).st, st);
+    }
+    // Retire every rank: nothing is left to send.
+    for (int r = 0; r < np; ++r) gate.update(r, St::done, 1.0);
+    EXPECT_EQ(gate.min_rank(), -1) << "np=" << np;
+  }
 }
 
 // --- strict MPIM_SCHED parsing ----------------------------------------------

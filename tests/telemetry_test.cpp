@@ -13,6 +13,7 @@
 
 #include "fault/fault_plan.h"
 #include "minimpi/api.h"
+#include "mpimon/mpi_monitoring.h"
 #include "mpimon/governor.h"
 #include "mpimon/sim.h"
 #include "mpit/pvar.h"
@@ -564,6 +565,75 @@ TEST(ExportShed, BudgetedRunKeepsExportsWellFormedAndReconciled) {
   write_chrome_trace(hub, trace);
   EXPECT_TRUE(JsonChecker(trace.str()).valid());
   EXPECT_NE(trace.str().find("\"bcast\""), std::string::npos);
+}
+
+// The engine metrics count application traffic only: the monitoring
+// library's own gathers (tool-kind traffic: MPI_M_allgather_data and the
+// allgather inside comm_split) leave them exactly as a run without them.
+TEST(EndToEnd, EngineMetricsSkipToolTraffic) {
+  const int nranks = 8;
+  struct Seen {
+    std::uint64_t msgs, bytes, sizes, depths, matches;
+    std::int64_t in_flight;
+  };
+  auto run = [&](bool tool_traffic) {
+    auto cost = net::CostModel::plafrim_like(2);
+    mpi::EngineConfig cfg{
+        .cost_model = cost,
+        .placement = topo::round_robin_placement(nranks, cost.topology())};
+    Sim sim(std::move(cfg));
+    telemetry::Hub& hub = sim.engine().telemetry();
+    hub.set_enabled(true);
+    sim.run([&](Ctx& ctx) {
+      const Comm world = ctx.world();
+      const int r = ctx.world_rank();
+      MPI_M_msid id = -1;
+      if (tool_traffic) {
+        ASSERT_EQ(MPI_M_init(), MPI_M_SUCCESS);
+        ASSERT_EQ(MPI_M_start(world, &id), MPI_M_SUCCESS);
+      }
+      long out = r, in = -1;
+      mpi::send(&out, 1, mpi::Type::Long, (r + 1) % nranks, 3, world);
+      mpi::recv(&in, 1, mpi::Type::Long, (r + nranks - 1) % nranks, 3, world);
+      EXPECT_EQ(in, (r + nranks - 1) % nranks);
+      if (tool_traffic) {
+        ASSERT_EQ(MPI_M_suspend(id), MPI_M_SUCCESS);
+        std::vector<unsigned long> counts(nranks * nranks),
+            sizes(nranks * nranks);
+        ASSERT_EQ(MPI_M_allgather_data(id, counts.data(), sizes.data(),
+                                       MPI_M_ALL_COMM),
+                  MPI_M_SUCCESS);
+        const int next = (r + 1) % nranks;
+        EXPECT_EQ(counts[static_cast<std::size_t>(r * nranks + next)], 1u);
+        ASSERT_EQ(MPI_M_free(id), MPI_M_SUCCESS);
+        ASSERT_EQ(MPI_M_finalize(), MPI_M_SUCCESS);
+        const Comm split = mpi::comm_split(world, r % 2, r);
+        EXPECT_EQ(split.size(), nranks / 2);
+      }
+    });
+    const telemetry::Registry& reg = hub.registry();
+    const telemetry::StdIds& ids = hub.ids();
+    return Seen{reg.counter_total(ids.engine_messages),
+                reg.counter_total(ids.engine_bytes),
+                reg.histogram_total(ids.engine_msg_bytes).count,
+                reg.histogram_total(ids.engine_inbox_depth).count,
+                reg.histogram_total(ids.engine_match_s).count,
+                reg.gauge_total(ids.engine_bytes_in_flight)};
+  };
+  const Seen bare = run(false);
+  EXPECT_EQ(bare.msgs, static_cast<std::uint64_t>(nranks));
+  EXPECT_EQ(bare.bytes, static_cast<std::uint64_t>(nranks * sizeof(long)));
+  EXPECT_EQ(bare.sizes, bare.msgs);
+  EXPECT_EQ(bare.depths, bare.msgs);
+  EXPECT_EQ(bare.matches, bare.msgs);
+  EXPECT_EQ(bare.in_flight, 0);
+  const Seen tool = run(true);
+  EXPECT_EQ(tool.msgs, bare.msgs);
+  EXPECT_EQ(tool.bytes, bare.bytes);
+  EXPECT_EQ(tool.sizes, bare.sizes);
+  EXPECT_EQ(tool.depths, bare.depths);
+  EXPECT_EQ(tool.matches, bare.matches);
+  EXPECT_EQ(tool.in_flight, 0);
 }
 
 // --- end to end: fault-injected run -----------------------------------------
