@@ -1,13 +1,17 @@
 // Shared plumbing for the paper-reproduction bench binaries.
 //
 // Every binary accepts "--quick" (shrunk sweeps, for smoke runs) and
-// "--csv <dir>" (also emit CSV files next to the printed tables).
+// "--csv <dir>" (also emit CSV files next to the printed tables; the
+// directory is created when missing).
 #pragma once
 
 #include <sys/utsname.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -17,6 +21,7 @@
 
 #include "minimpi/api.h"
 #include "mpimon/sim.h"
+#include "support/stats.h"
 #include "support/table.h"
 #include "topo/topology.h"
 
@@ -30,8 +35,9 @@ struct Options {
 
 /// The host a BENCH_*.json was measured on (nproc, RAM, kernel, compiler,
 /// build type): absolute numbers from two hosts are not comparable, so
-/// readers can tell them apart. scripts/bench_trend.py reports a mismatch
-/// but never gates on it.
+/// scripts/bench_trend.py gates an absolute row only against a baseline
+/// with the same fingerprint; another host's baseline is reported, never
+/// gated.
 inline std::vector<std::pair<std::string, std::string>> host_fingerprint() {
   struct utsname u {};
   const std::string kernel =
@@ -141,6 +147,13 @@ inline Options parse_options(int argc, char** argv) {
       opt.quick = true;
     } else if (arg == "--csv" && i + 1 < argc) {
       opt.csv_dir = argv[++i];
+      std::error_code ec;
+      std::filesystem::create_directories(*opt.csv_dir, ec);
+      if (ec) {
+        std::cerr << "cannot create " << *opt.csv_dir << ": " << ec.message()
+                  << "\n";
+        std::exit(2);
+      }
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: " << argv[0] << " [--quick] [--csv <dir>]\n";
       std::exit(0);
@@ -163,6 +176,58 @@ inline void maybe_csv(const Options& opt, const Table& table,
     std::atexit(detail::flush_json_sink);
   }
   sink.tables.emplace_back(name, table);
+}
+
+/// Mean of repeated samples with the half-width of its 95% Student-t
+/// interval: the form scripts/bench_trend.py gates (a column `x` with an
+/// `x_ci95` sibling).
+struct Estimate {
+  double mean = 0.0;
+  double ci95 = 0.0;
+};
+
+inline Estimate estimate(std::span<const double> xs) {
+  const double n = static_cast<double>(xs.size());
+  return {stats::mean(xs),
+          stats::t_quantile(0.975, n - 1.0) * stats::stddev(xs) / std::sqrt(n)};
+}
+
+/// Runs `sample` (returning std::vector<double>) once in each of `n` forked
+/// processes, one after another, and returns what each produced. A shared
+/// host can run one process at half the speed of the next while each keeps
+/// its own speed, so repetitions inside one process give a tight interval
+/// around whichever speed it drew. An absolute row that
+/// scripts/bench_trend.py gates takes its samples from separate processes,
+/// so that spread lands in its interval instead of shifting its mean.
+template <class F>
+std::vector<std::vector<double>> process_samples(int n, F sample) {
+  std::vector<std::vector<double>> out;
+  for (int i = 0; i < n; ++i) {
+    int fds[2];
+    const pid_t pid = ::pipe(fds) == 0 ? ::fork() : -1;
+    if (pid == 0) {
+      ::close(fds[0]);
+      const std::vector<double> v = sample();
+      const auto bytes = static_cast<ssize_t>(v.size() * sizeof(double));
+      ::_exit(::write(fds[1], v.data(), v.size() * sizeof(double)) == bytes
+                  ? 0
+                  : 1);
+    }
+    int status = -1;
+    if (pid > 0) {
+      ::close(fds[1]);
+      ::waitpid(pid, &status, 0);
+    }
+    std::vector<double>& v = out.emplace_back();
+    for (double x; pid > 0 && ::read(fds[0], &x, sizeof x) == sizeof x;)
+      v.push_back(x);
+    if (pid > 0) ::close(fds[0]);
+    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+      std::cerr << "sample process " << i << " failed\n";
+      std::exit(1);
+    }
+  }
+  return out;
 }
 
 /// PlaFRIM-like engine config: `nranks` ranks over `nodes` 24-core nodes

@@ -1,20 +1,11 @@
-// Time-resolved introspection: the two properties the snapshot subsystem
-// promises.
-//
-// Part 1 (hot path): the virtual clocks of a run are bit-identical with a
-// windowed snapshot attached and without one -- the sampler charges zero
-// simulated time -- and the host-side cost of the hook stays small. This is
-// the "Fig. 4 contrast regresses 0%" proof: the modeled overhead curves
-// cannot move if the clocks cannot.
-//
-// Part 2 (Fig. 2, time-resolved): the Section 6.1 burst/sleep generator
-// monitored by a 10 ms windowed snapshot. The per-window matrices gathered
-// with MPI_M_get_frames must reproduce the generator's own 10 ms
-// introspection series bin for bin, and the phase detector must flag every
-// burst <-> sleep edge. The frames land in <csv>/fig2_frames.csv, which
-// `monview --timeline` renders as the per-window heatmap.
-#include <chrono>
-#include <cinttypes>
+// Time-resolved introspection, Fig. 2: the Section 6.1 burst/sleep
+// generator monitored by a 10 ms windowed snapshot. The per-window
+// matrices gathered with MPI_M_get_frames must reproduce the generator's
+// own 10 ms introspection series bin for bin, and the phase detector must
+// flag every burst <-> sleep edge. The frames land in
+// <csv>/fig2_frames.csv, which `monview --timeline` renders as the
+// per-window heatmap. That a snapshot charges no virtual time, and what it
+// costs the host per send, is bench_layers' snapshot row.
 #include <cstdio>
 
 #include "apps/traffic.h"
@@ -23,85 +14,10 @@
 #include "mpimon/mpi_monitoring.h"
 #include "mpimon/session.hpp"
 
-namespace {
-
-using namespace mpim;
-
-struct HotPath {
-  double ns_per_send = 0.0;
-  double virtual_end_s = 0.0;
-};
-
-/// One monitored run of `sends` back-to-back sends from rank 0, with or
-/// without a snapshot attached to the session. Returns the host cost per
-/// send and the sender's virtual clock right after the timed loop.
-HotPath run_hot_path(bool snapshot_on, int sends) {
-  Sim sim(bench::plafrim_config(1, 2));
-  HotPath out;
-  sim.run([&](mpi::Ctx& ctx) {
-    const mpi::Comm world = ctx.world();
-    if (ctx.world_rank() == 0) {
-      mon::check_rc(MPI_M_init(), "MPI_M_init");
-      MPI_M_msid id = -1;
-      mon::check_rc(MPI_M_start(world, &id), "MPI_M_start");
-      if (snapshot_on)
-        mon::check_rc(
-            MPI_M_snapshot_start(id, /*window_s=*/1e-4, /*max_frames=*/256,
-                                 MPI_M_ALL_COMM),
-            "MPI_M_snapshot_start");
-      const auto t0 = std::chrono::steady_clock::now();
-      for (int i = 0; i < sends; ++i)
-        mpi::send(nullptr, 64, mpi::Type::Byte, 1, 1, world);
-      const auto t1 = std::chrono::steady_clock::now();
-      out.ns_per_send =
-          std::chrono::duration<double, std::nano>(t1 - t0).count() / sends;
-      out.virtual_end_s = ctx.now();
-      mpi::send(nullptr, 0, mpi::Type::Byte, 1, 2, world);  // stop marker
-      mon::check_rc(MPI_M_suspend(id), "MPI_M_suspend");
-      if (snapshot_on)
-        mon::check_rc(MPI_M_snapshot_stop(id), "MPI_M_snapshot_stop");
-      mon::check_rc(MPI_M_free(id), "MPI_M_free");
-      mon::check_rc(MPI_M_finalize(), "MPI_M_finalize");
-    } else {
-      for (;;) {
-        const mpi::Status st =
-            mpi::recv(nullptr, 64, mpi::Type::Byte, 0, mpi::kAnyTag, world);
-        if (st.tag == 2) break;
-      }
-    }
-  });
-  return out;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace mpim;
   const auto opt = bench::parse_options(argc, argv);
-  int failures = 0;
 
-  // --- Part 1: hot-path cost and clock bit-identity --------------------------
-  bench::banner("snapshot hot path: host cost and virtual-clock identity");
-  const int sends = opt.quick ? 5000 : 20000;
-  HotPath off{1e300, 0.0}, on{1e300, 0.0};
-  for (int rep = 0; rep < 3; ++rep) {  // best of 3: host timing is noisy
-    const HotPath o = run_hot_path(false, sends);
-    const HotPath s = run_hot_path(true, sends);
-    if (o.ns_per_send < off.ns_per_send) off = o;
-    if (s.ns_per_send < on.ns_per_send) on = s;
-  }
-  const bool identical = off.virtual_end_s == on.virtual_end_s;
-  if (!identical) ++failures;
-
-  Table t1({"snapshot", "host ns/send", "virtual end (s)"});
-  t1.add("off", format_sig(off.ns_per_send), format_sig(off.virtual_end_s, 12));
-  t1.add("on", format_sig(on.ns_per_send), format_sig(on.virtual_end_s, 12));
-  t1.print(std::cout);
-  std::printf("virtual clocks bit-identical: %s\n", identical ? "yes" : "NO");
-  std::printf("host overhead per send: %+.1f%% (modeled time: 0%%)\n",
-              100.0 * (on.ns_per_send / off.ns_per_send - 1.0));
-  bench::maybe_csv(opt, t1, "introspect_hot_path");
-
-  // --- Part 2: Fig. 2 burst schedule, time-resolved --------------------------
   bench::banner("Fig. 2 time-resolved: 10 ms windows vs generator series");
   apps::TrafficConfig cfg;
   cfg.duration_s = opt.quick ? 5.0 : 40.0;
@@ -161,25 +77,25 @@ int main(int argc, char** argv) {
     if (metrics[i].boundary) ++edges_flagged;
   }
 
-  Table t2({"check", "value"});
-  t2.add("windows gathered", frames.size());
-  t2.add("generator samples", series.introspection.size());
-  t2.add("mismatched bins", mismatched);
-  t2.add("bytes (frames)", frame_total);
-  t2.add("bytes (sent)", series.total_sent_bytes);
-  t2.add("burst/sleep edges", edges);
-  t2.add("edges phase-flagged", edges_flagged);
-  t2.add("boundaries (sampler)", boundaries_on_rank0);
-  t2.print(std::cout);
-  if (mismatched != 0 || frame_total != series.total_sent_bytes ||
-      edges == 0 || edges_flagged != edges) {
+  Table t({"check", "value"});
+  t.add("windows gathered", frames.size());
+  t.add("generator samples", series.introspection.size());
+  t.add("mismatched bins", mismatched);
+  t.add("bytes (frames)", frame_total);
+  t.add("bytes (sent)", series.total_sent_bytes);
+  t.add("burst/sleep edges", edges);
+  t.add("edges phase-flagged", edges_flagged);
+  t.add("boundaries (sampler)", boundaries_on_rank0);
+  t.print(std::cout);
+  const bool ok = mismatched == 0 && frame_total == series.total_sent_bytes &&
+                  edges != 0 && edges_flagged == edges;
+  if (!ok) {
     std::printf("FAIL: windowed frames disagree with the generator series\n");
-    ++failures;
   } else {
     std::printf("frames reproduce the burst schedule, all %zu edges "
                 "phase-flagged\n", edges);
   }
-  bench::maybe_csv(opt, t2, "introspect_fig2_checks");
+  bench::maybe_csv(opt, t, "introspect_fig2_checks");
   if (opt.csv_dir) {
     const std::string path = *opt.csv_dir + "/fig2_frames.csv";
     introspect::write_frames_csv_file(path, frames);
@@ -187,5 +103,5 @@ int main(int argc, char** argv) {
                 path.c_str(), path.c_str());
   }
 
-  return failures == 0 ? 0 : 1;
+  return ok ? 0 : 1;
 }

@@ -24,7 +24,8 @@
 //
 // Emits results/BENCH_recovery.json via the bench_common mirror so
 // scripts/bench_trend.py tracks the trajectory (informational metrics; the
-// hot-path gates live in bench_record/bench_micro).
+// gated rows live in bench_layers, bench_stream, bench_fabric and
+// bench_micro).
 #include <chrono>
 #include <memory>
 #include <string>

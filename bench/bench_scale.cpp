@@ -26,8 +26,8 @@
 // Acceptance: the largest practical fiber world must be >= 8x the largest
 // practical thread world. Emits results/BENCH_scale.json via the
 // bench_common mirror so scripts/bench_trend.py tracks the trajectory
-// (informational metrics; the hot-path gates live in
-// bench_record/bench_micro).
+// (informational metrics; the gated rows live in bench_layers,
+// bench_stream, bench_fabric and bench_micro).
 #include <sys/resource.h>
 
 #include <chrono>

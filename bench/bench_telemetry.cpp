@@ -7,23 +7,17 @@
 //                  one relaxed atomic load per site,
 //   enabled     -- full recording.
 //
-// Plus a fig4-style end-to-end contrast: host ns per monitored send with
-// telemetry off vs on, written to results/BENCH_telemetry_overhead.csv.
-// The per-benchmark ns/op additionally land in results/BENCH_telemetry.json
-// (override with your own --benchmark_out).
+// The per-benchmark ns/op land in results/BENCH_telemetry.json (override
+// with your own --benchmark_out). What enabling telemetry costs a monitored
+// run per send, and that it leaves virtual clocks alone, is bench_layers'
+// telemetry row.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <filesystem>
-#include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
-#include "minimpi/api.h"
-#include "mpimon/mpi_monitoring.h"
-#include "mpimon/sim.h"
-#include "support/table.h"
 #include "telemetry/hub.h"
 
 namespace {
@@ -119,85 +113,6 @@ void BM_SpanComplete_Enabled(benchmark::State& state) {
 }
 BENCHMARK(BM_SpanComplete_Enabled);
 
-// --- fig4-style end-to-end contrast ------------------------------------------
-
-struct RunCost {
-  double ns_per_send = 0.0;    // host time
-  double virtual_end_s = 0.0;  // must be identical off vs on
-};
-
-/// Host ns per monitored send (active MPI_M session, like Fig. 4's
-/// monitored configuration) with telemetry off or on.
-RunCost measure_ns_per_send(bool telemetry_on) {
-  auto cost = net::CostModel::plafrim_like(1);
-  mpi::EngineConfig cfg{
-      .cost_model = cost,
-      .placement = topo::round_robin_placement(2, cost.topology())};
-  Sim sim(std::move(cfg));
-  sim.engine().telemetry().set_enabled(telemetry_on);
-  RunCost out;
-  sim.run([&](mpi::Ctx& ctx) {
-    const mpi::Comm world = ctx.world();
-    if (ctx.world_rank() == 0) {
-      MPI_M_init();
-      MPI_M_msid id;
-      MPI_M_start(world, &id);
-      constexpr int kSends = 50000;
-      const auto t0 = std::chrono::steady_clock::now();
-      for (int i = 0; i < kSends; ++i)
-        mpi::send(nullptr, 64, mpi::Type::Byte, 1, 1, world);
-      const auto t1 = std::chrono::steady_clock::now();
-      out.ns_per_send =
-          std::chrono::duration<double, std::nano>(t1 - t0).count() / kSends;
-      mpi::send(nullptr, 0, mpi::Type::Byte, 1, 2, world);  // stop
-      MPI_M_suspend(id);
-      MPI_M_free(id);
-      MPI_M_finalize();
-      out.virtual_end_s = ctx.now();
-    } else {
-      for (;;) {
-        mpi::Status st = mpi::recv(nullptr, 64, mpi::Type::Byte, 0,
-                                   mpi::kAnyTag, world);
-        if (st.tag == 2) break;
-      }
-    }
-  });
-  return out;
-}
-
-void write_overhead_csv() {
-  // Best of 3 per configuration: the comparison is about the instruction
-  // path, not scheduler noise.
-  RunCost off, on;
-  off.ns_per_send = on.ns_per_send = 1e300;
-  for (int i = 0; i < 3; ++i) {
-    const RunCost o = measure_ns_per_send(false);
-    const RunCost e = measure_ns_per_send(true);
-    if (o.ns_per_send < off.ns_per_send) off = o;
-    if (e.ns_per_send < on.ns_per_send) on = e;
-  }
-  // The figure-level guarantee: telemetry never charges virtual time, so
-  // every modeled result (bench_fig4_overhead included) is bit-identical
-  // with telemetry on or off. Host time is what enabling actually costs.
-  const double vt_regress =
-      100.0 * (on.virtual_end_s - off.virtual_end_s) / off.virtual_end_s;
-  Table t({"config", "ns_per_monitored_send", "host_overhead_pct",
-           "virtual_end_s", "virtual_time_regress_pct"});
-  t.add("telemetry_disabled", off.ns_per_send, 0.0, off.virtual_end_s, 0.0);
-  t.add("telemetry_enabled", on.ns_per_send,
-        100.0 * (on.ns_per_send - off.ns_per_send) / off.ns_per_send,
-        on.virtual_end_s, vt_regress);
-  t.print(std::cout);
-  std::cout << (on.virtual_end_s == off.virtual_end_s
-                    ? "virtual clocks bit-identical on vs off: modeled "
-                      "figures (fig4) regress by exactly 0%\n"
-                    : "WARNING: virtual clocks differ -- telemetry leaked "
-                      "into the cost model\n");
-  std::error_code ec;
-  std::filesystem::create_directories("results", ec);
-  if (!ec) t.write_csv_file("results/BENCH_telemetry_overhead.csv");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -221,7 +136,6 @@ int main(int argc, char** argv) {
     benchmark::AddCustomContext("mpim_host_" + key, value);
   if (benchmark::ReportUnrecognizedArguments(bench_argc, args.data()))
     return 1;
-  write_overhead_csv();
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

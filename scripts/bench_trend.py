@@ -10,21 +10,32 @@ Two producers feed the directory:
 
   * google-benchmark binaries (bench_micro, bench_telemetry) write the stock
     ``{"context": ..., "benchmarks": [...]}`` layout; the interesting numbers
-    live in per-benchmark user counters (ns_per_send, us_per_roundtrip, ...).
-  * the Table-based figure benches write ``{"format": "mpim-bench-tables",
+    live in per-benchmark user counters (us_per_roundtrip, ...).
+  * the Table-based benches write ``{"format": "mpim-bench-tables",
     "tables": [{"name", "header", "rows"}]}`` via bench_common.h; every cell
     is a string, numeric or not.
 
-This script flattens both into ``program/benchmark.metric`` rows, compares
-them against the committed baseline (``git show HEAD:<file>``) when one
-exists, and exits non-zero when a *hot-path* metric regressed by more than
-REGRESSION_LIMIT. Non-hot-path metrics are reported but never gate: figure
-checks are pass/fail inside the bench binaries themselves, and host-side
-table numbers are too noisy to gate on.
+Both flatten into ``program/table[row].column`` (or
+``program/benchmark.counter``) metrics, printed next to their baselines.
+One rule gates: a metric ``x`` whose row also carries ``x_ci95``, the
+half-width of a 95% confidence interval over repeated samples, fails only
+when that whole interval lies beyond baseline x (1 +- REGRESSION_LIMIT) on
+the slower side (lower is slower for ``*per_sec``, higher for the rest).
+Metrics without an interval are reported, never gated: figure checks are
+pass/fail inside the bench binaries themselves.
 
-Both layouts also carry the fingerprint of the host that measured them
-(bench_common.h: top-level "host" object, or "mpim_host_*" context keys).
-It is not a metric: a baseline from another host is reported, never gated.
+What the baseline means depends on the metric:
+
+  * ``ratio`` is a layer row's cost over a control timed in the same
+    process (bench_layers). Host speed cancels out of it, so the committed
+    ratio is the reference whatever host measured it.
+  * every other gated metric is absolute (plane ingest events/s, TreeMatch
+    reorders/s, the engine's p2p roundtrip, the critpath capture hooks'
+    events/s), its interval taken over separate processes
+    (bench::process_samples). Its baseline is the reference only when
+    both files carry the same host fingerprint (bench_common.h: top-level
+    "host" object, or "mpim_host_*" context keys); a baseline from another
+    host, or from an unknown one, is reported, never gated.
 """
 import json
 import math
@@ -34,16 +45,8 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 RESULTS = REPO / "results"
-REGRESSION_LIMIT = 0.10  # fraction; >10% slower on a hot-path metric fails
-# Metrics where "bigger is slower" and the measurement is stable enough to
-# gate on. Everything else is informational.
-HOT_PATH_METRICS = ("ns_per_send", "us_per_roundtrip")
-# Throughput metrics where "smaller is slower": these gate on a *drop*
-# beyond REGRESSION_LIMIT (bench_record's recording fast path,
-# bench_stream's plane ingest and bench_fabric's np=1024 hierarchical
-# TreeMatch reorder rate).
-HOT_PATH_INVERSE_METRICS = ("sends_per_sec", "events_per_sec",
-                            "reorders_per_sec")
+REGRESSION_LIMIT = 0.10  # fraction of the baseline
+CI_SUFFIX = "_ci95"
 
 
 def flatten(doc):
@@ -106,16 +109,25 @@ def baseline_for(path):
         return None
 
 
-def main():
-    results = Path(sys.argv[1]) if len(sys.argv) > 1 else RESULTS
-    files = sorted(results.glob("BENCH_*.json"))
+def regressed(key, val, half, ref):
+    """True when the interval val +- half lies wholly on the slower side
+    of ref x (1 +- REGRESSION_LIMIT)."""
+    if key.endswith("per_sec"):
+        return val + half < ref * (1.0 - REGRESSION_LIMIT)
+    return val - half > ref * (1.0 + REGRESSION_LIMIT)
+
+
+def main(results=None, baseline=baseline_for):
+    if results is None:
+        results = Path(sys.argv[1]) if len(sys.argv) > 1 else RESULTS
+    files = sorted(Path(results).glob("BENCH_*.json"))
     if not files:
         print(f"bench_trend: no BENCH_*.json under {results}", file=sys.stderr)
         return 2
 
-    rows = []       # (key, current, baseline-or-None, delta-or-None, gated)
+    rows = []         # (key, current, half-or-None, baseline-or-None, gate)
     regressions = []
-    other_host = []  # files whose baseline was measured on another host
+    other_host = []   # files whose absolute rows were not gated
     for path in files:
         try:
             doc = json.loads(path.read_text())
@@ -124,46 +136,52 @@ def main():
             print(f"bench_trend: cannot parse {path.name}: {e}",
                   file=sys.stderr)
             return 2
-        base_doc = baseline_for(path)
+        base_doc = baseline(path)
         base = dict(flatten(base_doc)) if base_doc else {}
-        if base_doc and host_of(base_doc) and host_of(doc) and \
-                host_of(base_doc) != host_of(doc):
-            other_host.append(path.name)
+        same_host = base_doc is not None and host_of(doc) is not None and \
+            host_of(doc) == host_of(base_doc)
         for key, val in sorted(current.items()):
-            ref = base.get(key)
-            delta = (val / ref - 1.0) if ref else None
-            slower_when_up = key.endswith(HOT_PATH_METRICS)
-            slower_when_down = key.endswith(HOT_PATH_INVERSE_METRICS)
-            gated = slower_when_up or slower_when_down
-            rows.append((key, val, ref, delta, gated))
-            if delta is None:
+            if key.endswith(CI_SUFFIX):
                 continue
-            if (slower_when_up and delta > REGRESSION_LIMIT) or \
-                    (slower_when_down and delta < -REGRESSION_LIMIT):
-                regressions.append((key, ref, val, delta))
+            half = current.get(key + CI_SUFFIX)
+            ref = base.get(key)
+            gate = "-"
+            if half is not None:
+                if key.rsplit(".", 1)[-1] == "ratio":
+                    gate = "ratio"
+                else:
+                    gate = "host" if same_host else "other-host"
+            if ref and gate == "other-host":
+                if path.name not in other_host:
+                    other_host.append(path.name)
+            elif ref and gate != "-" and regressed(key, val, half, ref):
+                regressions.append((key, ref, val, half))
+            rows.append((key, val, half, ref, gate))
 
     width = max(len(r[0]) for r in rows)
-    print(f"{'metric':<{width}}  {'current':>12}  {'baseline':>12}  "
-          f"{'delta':>8}  gate")
-    for key, val, ref, delta, gated in rows:
+    print(f"{'metric':<{width}}  {'current':>12}  {'ci95':>9}  "
+          f"{'baseline':>12}  {'delta':>8}  gate")
+    for key, val, half, ref, gate in rows:
+        half_s = f"{half:9.3g}" if half is not None else f"{'-':>9}"
         ref_s = f"{ref:12.4g}" if ref is not None else f"{'-':>12}"
-        delta_s = f"{delta:+8.1%}" if delta is not None else f"{'-':>8}"
-        print(f"{key:<{width}}  {val:12.4g}  {ref_s}  {delta_s}  "
-              f"{'hot' if gated else '-'}")
+        delta_s = f"{val / ref - 1.0:+8.1%}" if ref else f"{'-':>8}"
+        print(f"{key:<{width}}  {val:12.4g}  {half_s}  {ref_s}  {delta_s}  "
+              f"{gate}")
 
     if other_host:
         print(f"\nbench_trend: note -- baseline measured on another host "
-              f"(absolute numbers not comparable): {', '.join(other_host)}")
+              f"(absolute numbers reported, not gated): "
+              f"{', '.join(other_host)}")
     if regressions:
-        print(f"\nbench_trend: FAIL -- hot-path regression over "
-              f"{REGRESSION_LIMIT:.0%}:")
-        for key, ref, val, delta in regressions:
-            print(f"  {key}: {ref:.4g} -> {val:.4g} ({delta:+.1%})")
+        print(f"\nbench_trend: FAIL -- 95% interval wholly beyond "
+              f"{REGRESSION_LIMIT:.0%} of the baseline:")
+        for key, ref, val, half in regressions:
+            print(f"  {key}: {ref:.4g} -> {val:.4g} +- {half:.2g} "
+                  f"({val / ref - 1.0:+.1%})")
         return 1
-    n_base = sum(1 for r in rows if r[2] is not None)
-    gates = ", ".join(HOT_PATH_METRICS + HOT_PATH_INVERSE_METRICS)
-    print(f"\nbench_trend: OK ({len(rows)} metrics, {n_base} vs baseline, "
-          f"limit {REGRESSION_LIMIT:.0%} on {gates})")
+    n_gated = sum(1 for r in rows if r[3] and r[4] in ("ratio", "host"))
+    print(f"\nbench_trend: OK ({len(rows)} metrics, {n_gated} gated at "
+          f"{REGRESSION_LIMIT:.0%} on their 95% intervals)")
     return 0
 
 

@@ -5,8 +5,12 @@
 #
 #   default   configure + build, the full ctest suite, a focused re-run of
 #             the "introspect" label, a stencil_reorder smoke run, and the
-#             bench trajectory gate (quick benches + scripts/bench_trend.py
-#             vs the committed results/BENCH_*.json baselines)
+#             bench trajectory gate: the quick benches, bench_layers' table
+#             of per-layer cost ratios to an in-run control among them, then
+#             scripts/bench_trend.py, which fails a row only when its 95%
+#             interval lies wholly beyond 10% of the committed
+#             results/BENCH_*.json baseline (ratios always; absolute rates
+#             only against a baseline from the same host)
 #
 # Everything a lane writes (bench CSV/JSON, example outputs) goes to the
 # git-ignored build/results/, so running the gate never rewrites the
@@ -22,8 +26,9 @@
 #             bench_recovery's acceptance check
 #   stream    the obsplane suite (ingest rings, sketches, correlation,
 #             exporter teardown) under both sanitizers, the stream_monitor
-#             fault-injected e2e, a monview --live render of its stream and
-#             bench_stream's hook-overhead acceptance
+#             fault-injected e2e, a monview --live render of its stream,
+#             bench_stream's ingest rate and bench_layers' plane budget
+#             (plane over telemetry <= 5% at 8 ranks)
 #   critpath  the critpath suite (blame identity, clock bit-identity,
 #             governor refusal, rings, reorder feed, CSV round trip) under
 #             both sanitizers, the stencil_reorder late-sender e2e, a
@@ -67,7 +72,7 @@ lanes=(
     ctest --preset default --output-on-failure -j $jobs -L introspect
     example stencil_reorder
     $bench/bench_introspect --quick --csv $out
-    $bench/bench_record --quick --csv $out
+    $bench/bench_layers --quick --csv $out
     $bench/bench_recovery --quick --csv $out
     $bench/bench_stream --quick --csv $out
     $bench/bench_critpath --quick --csv $out
@@ -81,10 +86,11 @@ lanes=(
     $bench/bench_recovery --quick --csv $out"
   stream 0 "-L obsplane" \
     "-L obsplane" \
-    "stream_monitor monview bench_stream" "
+    "stream_monitor monview bench_stream bench_layers" "
     example stream_monitor
     ./build/src/tools/monview --live $out/stream_monitor.jsonl --once >/dev/null
     $bench/bench_stream --quick --csv $out
+    $bench/bench_layers --quick --csv $out
     trend"
   critpath 0 "-L critpath" \
     "-L critpath" \

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -550,35 +551,38 @@ void deinterleave_blob(const std::vector<unsigned long>& fused, std::size_t n,
   }
 }
 
-/// Failure-aware variant of gather_rows: a linear gather with a
-/// per-contributor receive timeout instead of the tree collectives, so a
-/// crashed or stalled rank costs one timeout and a sentinel row instead of
-/// a hang. Rows may have any width (the fused blob is 2n wide). Returns
-/// the number of missing rows on receiving ranks.
-int gather_row_matrix_faulty(MonSession& s,
-                             const std::vector<unsigned long>& row, int root,
-                             unsigned long* recv) {
+/// The failure-aware gather both monitoring gathers use under a fault
+/// plan: a linear gather of one `row` per contributor, each receive with
+/// its own timeout instead of the tree collectives, so a crashed or
+/// stalled rank costs one timeout instead of a hang. At `root`, `assemble`
+/// turns the gathered comm-size x width rows (a missing contributor's row
+/// flagged, its content undefined) into `msg`. With `redistribute` the
+/// root then sends `msg` to every other rank; `msg` must have the same
+/// size on every rank. Returns false on a rank whose copy never arrived.
+bool gather_linear_faulty(
+    MonSession& s, const std::vector<unsigned long>& row, int root,
+    bool redistribute,
+    const std::function<std::vector<unsigned long>(
+        const std::vector<unsigned long>& rows,
+        const std::vector<bool>& missing)>& assemble,
+    std::vector<unsigned long>& msg) {
   Ctx& ctx = Ctx::current();
-  const std::size_t rows = static_cast<std::size_t>(s.comm.size());
-  const std::size_t w = row.size();
-  const std::size_t row_bytes = w * sizeof(unsigned long);
-  const int myrank = s.comm.group_rank_of_world(ctx.world_rank());
-  const int groot = root < 0 ? 0 : root;
+  const std::size_t n = static_cast<std::size_t>(s.comm.size());
+  const std::size_t row_bytes = row.size() * sizeof(unsigned long);
   const double timeout_s = mon_state().gather_timeout_s;
   // Two tag draws (gather + redistribution) on every rank keep the alive
   // ranks' collective sequence numbers aligned regardless of role.
   const int gather_tag = mpim::mpi::coll::coll_tag(ctx.next_coll_seq(s.comm));
   const int redist_tag = mpim::mpi::coll::coll_tag(ctx.next_coll_seq(s.comm));
 
-  if (myrank == groot) {
-    std::vector<unsigned long> matrix(rows * w, 0ul);
-    int missing = 0;
-    for (std::size_t r = 0; r < rows; ++r) {
-      unsigned long* dst = matrix.data() + r * w;
-      if (static_cast<int>(r) == groot) {
-        std::copy(row.begin(), row.end(), dst);
-        continue;
-      }
+  if (s.comm.group_rank_of_world(ctx.world_rank()) == root) {
+    std::vector<unsigned long> rows(n * row.size(), 0ul);
+    std::vector<bool> missing(n, false);
+    std::copy(row.begin(), row.end(),
+              rows.begin() + static_cast<std::ptrdiff_t>(
+                                 static_cast<std::size_t>(root) * row.size()));
+    for (std::size_t r = 0; r < n; ++r) {
+      if (static_cast<int>(r) == root) continue;
       const int peer_world = s.comm.world_rank_of(static_cast<int>(r));
       // Known-dead contributor with no pre-crash row still in the inbox:
       // skip the wait outright instead of re-entering it. Matching first
@@ -590,69 +594,89 @@ int gather_row_matrix_faulty(MonSession& s,
           !ctx.iprobe_bytes(peer_world, s.comm, gather_tag, CommKind::tool,
                             nullptr)) {
         ctx.observe_rank_failure(peer_world);
-        std::fill(dst, dst + w, MPI_M_DATA_MISSING);
-        ++missing;
+        missing[r] = true;
         tele().add(tele().ids().mon_dead_skips, tele_rank());
         continue;
       }
       mpim::mpi::Status st;
-      const Ctx::RecvWait rc =
-          ctx.recv_bytes_wait(peer_world, s.comm, gather_tag, CommKind::tool,
-                              dst, row_bytes, &st, timeout_s);
-      if (rc != Ctx::RecvWait::ok) {
-        std::fill(dst, dst + w, MPI_M_DATA_MISSING);
-        ++missing;
+      if (ctx.recv_bytes_wait(peer_world, s.comm, gather_tag, CommKind::tool,
+                              rows.data() + r * row.size(), row_bytes, &st,
+                              timeout_s) != Ctx::RecvWait::ok) {
+        missing[r] = true;
         tele().add(tele().ids().mon_gather_timeouts, tele_rank());
       }
     }
-    if (root < 0) {
-      // Redistribute matrix + missing count. Sending to a dead rank is
-      // harmless: the message is simply never consumed.
-      std::vector<unsigned long> msg(rows * w + 1);
-      std::copy(matrix.begin(), matrix.end(), msg.begin());
-      msg[rows * w] = static_cast<unsigned long>(missing);
-      for (std::size_t r = 0; r < rows; ++r) {
-        if (static_cast<int>(r) == groot) continue;
-        ctx.send_bytes(s.comm.world_rank_of(static_cast<int>(r)), s.comm,
-                       redist_tag, CommKind::tool, msg.data(),
-                       msg.size() * sizeof(unsigned long));
-      }
-    }
-    if (recv != nullptr) std::copy(matrix.begin(), matrix.end(), recv);
-    return missing;
+    msg = assemble(rows, missing);
+    // Sending to a dead rank is harmless: the message is never consumed.
+    if (redistribute)
+      for (std::size_t r = 0; r < n; ++r)
+        if (static_cast<int>(r) != root)
+          ctx.send_bytes(s.comm.world_rank_of(static_cast<int>(r)), s.comm,
+                         redist_tag, CommKind::tool, msg.data(),
+                         msg.size() * sizeof(unsigned long));
+    return true;
   }
 
-  const int root_world = s.comm.world_rank_of(groot);
+  const int root_world = s.comm.world_rank_of(root);
   ctx.send_bytes(root_world, s.comm, gather_tag, CommKind::tool, row.data(),
                  row_bytes);
-  if (root >= 0) return 0;
-  // Dead gathering rank with no redistributed matrix in flight: every row
-  // is lost, but at least do not wait the full budget to learn it.
+  if (!redistribute) return true;
+  // Dead gathering rank with no redistributed copy in flight: do not wait
+  // the full budget to learn that it is lost.
   if (ctx.engine().rank_dead(root_world) &&
       !ctx.iprobe_bytes(root_world, s.comm, redist_tag, CommKind::tool,
                         nullptr)) {
     ctx.observe_rank_failure(root_world);
-    if (recv != nullptr)
-      std::fill(recv, recv + rows * w, MPI_M_DATA_MISSING);
     tele().add(tele().ids().mon_dead_skips, tele_rank());
-    return static_cast<int>(rows);
+    return false;
   }
   // The gathering rank may spend up to one timeout per missing contributor
-  // before our copy of the matrix arrives; budget for all of them.
-  std::vector<unsigned long> msg(rows * w + 1);
+  // before our copy arrives; budget for all of them.
   mpim::mpi::Status st;
-  const Ctx::RecvWait rc = ctx.recv_bytes_wait(
-      s.comm.world_rank_of(groot), s.comm, redist_tag, CommKind::tool,
-      msg.data(), msg.size() * sizeof(unsigned long), &st,
-      timeout_s * static_cast<double>(rows + 1));
-  if (rc != Ctx::RecvWait::ok) {
-    if (recv != nullptr)
-      std::fill(recv, recv + rows * w, MPI_M_DATA_MISSING);
+  if (ctx.recv_bytes_wait(root_world, s.comm, redist_tag, CommKind::tool,
+                          msg.data(), msg.size() * sizeof(unsigned long), &st,
+                          timeout_s * static_cast<double>(n + 1)) !=
+      Ctx::RecvWait::ok) {
     tele().add(tele().ids().mon_gather_timeouts, tele_rank());
-    return static_cast<int>(rows);
+    return false;
   }
-  if (recv != nullptr) std::copy(msg.begin(), msg.end() - 1, recv);
-  return static_cast<int>(msg[rows * w]);
+  return true;
+}
+
+/// Failure-aware variant of gather_rows: the matrix travels with its
+/// missing-row count, and a missing contributor's row is sentinel-filled.
+/// Returns the number of missing rows on receiving ranks.
+int gather_row_matrix_faulty(MonSession& s,
+                             const std::vector<unsigned long>& row, int root,
+                             unsigned long* recv) {
+  const std::size_t cells = static_cast<std::size_t>(s.comm.size()) *
+                            row.size();
+  const int groot = root < 0 ? 0 : root;
+  std::vector<unsigned long> msg(cells + 1);
+  const bool arrived = gather_linear_faulty(
+      s, row, groot, root < 0,
+      [&](const std::vector<unsigned long>& rows,
+          const std::vector<bool>& missing) {
+        std::vector<unsigned long> m(rows);
+        m.push_back(0);
+        for (std::size_t r = 0; r < missing.size(); ++r) {
+          if (!missing[r]) continue;
+          std::fill_n(m.begin() + static_cast<std::ptrdiff_t>(r * row.size()),
+                      row.size(), MPI_M_DATA_MISSING);
+          ++m[cells];
+        }
+        return m;
+      },
+      msg);
+  if (root >= 0 &&
+      s.comm.group_rank_of_world(Ctx::current().world_rank()) != root)
+    return 0;
+  if (!arrived) {
+    if (recv != nullptr) std::fill_n(recv, cells, MPI_M_DATA_MISSING);
+    return s.comm.size();
+  }
+  if (recv != nullptr) std::copy_n(msg.begin(), cells, recv);
+  return static_cast<int>(msg[cells]);
 }
 
 /// Gathers each contributor's row (any width) into a comm-size x width
@@ -805,8 +829,9 @@ std::vector<unsigned long> build_frames_blob(const MonSession& s,
 ///   [0] W (aligned windows, <= K), [1] missing contributors,
 ///   then W entries of (1 + 2n^2) words: window index, counts matrix,
 ///   bytes matrix (rows of missing contributors = MPI_M_DATA_MISSING).
+/// `blobs` holds the n contributors' fixed-width blobs back to back.
 std::vector<unsigned long> assemble_frames_result(
-    const std::vector<std::vector<unsigned long>>& blobs,
+    const unsigned long* blobs, std::size_t width,
     const std::vector<bool>& missing_rank, int max_frames, std::size_t n) {
   const std::size_t K = static_cast<std::size_t>(max_frames);
   const std::size_t stride = 1 + 2 * n;
@@ -814,7 +839,7 @@ std::vector<unsigned long> assemble_frames_result(
   std::vector<long> windows;
   for (std::size_t r = 0; r < n; ++r) {
     if (missing_rank[r]) continue;
-    const auto& blob = blobs[r];
+    const unsigned long* blob = blobs + r * width;
     const std::size_t nwin = static_cast<std::size_t>(blob[0]);
     for (std::size_t i = 0; i < nwin; ++i)
       windows.push_back(
@@ -847,10 +872,10 @@ std::vector<unsigned long> assemble_frames_result(
         std::fill(brow, brow + n, MPI_M_DATA_MISSING);
         continue;
       }
-      const auto& blob = blobs[r];
+      const unsigned long* blob = blobs + r * width;
       const std::size_t nwin = static_cast<std::size_t>(blob[0]);
       for (std::size_t i = 0; i < nwin; ++i) {
-        const unsigned long* e = blob.data() + 1 + i * stride;
+        const unsigned long* e = blob + 1 + i * stride;
         if (static_cast<long>(e[0]) != windows[w]) continue;
         std::copy(e + 1, e + 1 + n, crow);
         std::copy(e + 1 + n, e + 1 + 2 * n, brow);
@@ -905,81 +930,26 @@ void refresh_derived_metrics(const MonSession& s,
                 std::llround(gain * 1000.0));
 }
 
-/// Failure-aware frames gather: linear gather of the fixed-size blobs
-/// with per-contributor timeouts, then a linear redistribution of the
-/// assembled result -- the gather_row_matrix_faulty protocol shape.
-/// Returns the number of missing contributors.
+/// Failure-aware get_frames: the linear gather of the fixed-size blobs,
+/// assembled at rank 0 and redistributed. Returns the number of missing
+/// contributors.
 int gather_frames_faulty(MonSession& s,
                          const std::vector<unsigned long>& blob,
                          int max_frames,
                          std::vector<unsigned long>& result) {
-  Ctx& ctx = Ctx::current();
   const std::size_t n = static_cast<std::size_t>(s.comm.size());
-  const int myrank = s.comm.group_rank_of_world(ctx.world_rank());
-  const double timeout_s = mon_state().gather_timeout_s;
-  const int gather_tag =
-      mpim::mpi::coll::coll_tag(ctx.next_coll_seq(s.comm));
-  const int redist_tag =
-      mpim::mpi::coll::coll_tag(ctx.next_coll_seq(s.comm));
-
-  if (myrank == 0) {
-    std::vector<std::vector<unsigned long>> blobs(n);
-    std::vector<bool> missing_rank(n, false);
-    blobs[0] = blob;
-    for (std::size_t r = 1; r < n; ++r) {
-      blobs[r].assign(blob.size(), 0ul);
-      const int peer_world = s.comm.world_rank_of(static_cast<int>(r));
-      // Same known-dead skip as gather_row_matrix_faulty: match-first,
-      // then crash-time clock advance, so only the wall stall differs.
-      if (ctx.engine().rank_dead(peer_world) &&
-          !ctx.iprobe_bytes(peer_world, s.comm, gather_tag, CommKind::tool,
-                            nullptr)) {
-        ctx.observe_rank_failure(peer_world);
-        missing_rank[r] = true;
-        tele().add(tele().ids().mon_dead_skips, tele_rank());
-        continue;
-      }
-      mpim::mpi::Status st;
-      const Ctx::RecvWait rc = ctx.recv_bytes_wait(
-          peer_world, s.comm, gather_tag, CommKind::tool, blobs[r].data(),
-          blobs[r].size() * sizeof(unsigned long), &st, timeout_s);
-      if (rc != Ctx::RecvWait::ok) {
-        missing_rank[r] = true;
-        tele().add(tele().ids().mon_gather_timeouts, tele_rank());
-      }
-    }
-    result = assemble_frames_result(blobs, missing_rank, max_frames, n);
-    for (std::size_t r = 1; r < n; ++r)
-      ctx.send_bytes(s.comm.world_rank_of(static_cast<int>(r)), s.comm,
-                     redist_tag, CommKind::tool, result.data(),
-                     result.size() * sizeof(unsigned long));
-    return static_cast<int>(result[1]);
-  }
-
-  const int root_world = s.comm.world_rank_of(0);
-  ctx.send_bytes(root_world, s.comm, gather_tag, CommKind::tool, blob.data(),
-                 blob.size() * sizeof(unsigned long));
-  if (ctx.engine().rank_dead(root_world) &&
-      !ctx.iprobe_bytes(root_world, s.comm, redist_tag, CommKind::tool,
-                        nullptr)) {
-    ctx.observe_rank_failure(root_world);
+  const bool arrived = gather_linear_faulty(
+      s, blob, 0, true,
+      [&](const std::vector<unsigned long>& rows,
+          const std::vector<bool>& missing) {
+        return assemble_frames_result(rows.data(), blob.size(), missing,
+                                      max_frames, n);
+      },
+      result);
+  if (!arrived) {
     std::fill(result.begin(), result.end(), MPI_M_DATA_MISSING);
     result[0] = 0;
     result[1] = static_cast<unsigned long>(n);
-    tele().add(tele().ids().mon_dead_skips, tele_rank());
-    return static_cast<int>(n);
-  }
-  mpim::mpi::Status st;
-  const Ctx::RecvWait rc = ctx.recv_bytes_wait(
-      root_world, s.comm, redist_tag, CommKind::tool, result.data(),
-      result.size() * sizeof(unsigned long), &st,
-      timeout_s * static_cast<double>(n + 1));
-  if (rc != Ctx::RecvWait::ok) {
-    std::fill(result.begin(), result.end(), MPI_M_DATA_MISSING);
-    result[0] = 0;
-    result[1] = static_cast<unsigned long>(n);
-    tele().add(tele().ids().mon_gather_timeouts, tele_rank());
-    return static_cast<int>(n);
   }
   return static_cast<int>(result[1]);
 }
@@ -1164,17 +1134,10 @@ int MPI_M_get_frames(MPI_M_msid msid, int max_frames, int* nframes,
                               Type::UnsignedLong,
                               myrank == 0 ? gathered.data() : nullptr, 0,
                               s->comm, CommKind::tool);
-      if (myrank == 0) {
-        std::vector<std::vector<unsigned long>> blobs(n);
-        for (std::size_t r = 0; r < n; ++r)
-          blobs[r].assign(gathered.begin() +
-                              static_cast<std::ptrdiff_t>(r * blob.size()),
-                          gathered.begin() +
-                              static_cast<std::ptrdiff_t>((r + 1) *
-                                                          blob.size()));
-        result = assemble_frames_result(
-            blobs, std::vector<bool>(n, false), max_frames, n);
-      }
+      if (myrank == 0)
+        result = assemble_frames_result(gathered.data(), blob.size(),
+                                        std::vector<bool>(n, false),
+                                        max_frames, n);
       mpim::mpi::coll::bcast(ctx, result.data(),
                              result.size() * sizeof(unsigned long),
                              Type::Byte, 0, s->comm, CommKind::tool);
